@@ -158,9 +158,14 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
     With ``target_error`` set, the gate budget is bisected to the largest
-    delta whose simulated error stays at or below the target (the same
-    noise directions are rescaled at every candidate, so the search is
-    stable and deterministic under the seed).
+    delta whose simulated error stays at or below the target.  Each
+    candidate redraws its noise from ``seed`` in gate order of its own
+    pruned circuit.  Pruning removes more gates as delta grows, so later
+    gates get different noise axes from one candidate to the next and the
+    error need not be monotone in delta; the search is deterministic under
+    the seed, not stable across pruning boundaries.  Keying each draw by
+    the gate's position in the unpruned circuit fixes this (ROADMAP.md,
+    open item 3).
     """
     if spec.mode != "full":
         raise ParameterError("resource estimation covers full-Gaussian mode")

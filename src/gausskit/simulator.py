@@ -4,9 +4,12 @@ Two backends share one contract:
 
 * ``simulate_exact`` carries every live ancilla as a real tensor factor
   and projects it at its measurement barrier; memory is 2**(data + live).
-* ``simulate_postselected`` never materializes ancilla: each post-selected
-  window gate becomes a diagonal contraction of the data register, which
-  is what makes 20+ qubit runs cheap.
+  It is the oracle for the post-selected paths.
+* The post-selected paths never materialize ancilla, which is what makes
+  20+ qubit runs cheap.  ``simulate_postselected``, ``core_pipeline`` and
+  ``GaussianLayerModel`` share one strided window kernel that multiplies
+  the control-satisfied block of the data state in place; the core paths
+  build their prelude as a product of per-qubit 2-vectors.
 
 Both record one success probability per barrier; their product is the
 squared subnormalization of the preparation.
@@ -224,41 +227,30 @@ def simulate_exact(circuit: Circuit,
     return sv, report
 
 
-class _BitMasks:
-    """Lazily cached per-qubit boolean masks over a 2**n index range."""
+def _apply_window(vec: np.ndarray, controls, factor) -> None:
+    """Multiply the control-satisfied block of ``vec`` by ``factor`` in place.
 
-    def __init__(self, n_bits: int):
-        self.n_bits = n_bits
-        self._bits: dict[int, np.ndarray] = {}
-
-    def bit(self, qubit: int) -> np.ndarray:
-        mask = self._bits.get(qubit)
-        if mask is None:
-            idx = np.arange(1 << self.n_bits, dtype=np.int64)
-            mask = ((idx >> qubit) & 1).astype(bool)
-            self._bits[qubit] = mask
-        return mask
-
-    def control_mask(self, controls) -> np.ndarray:
-        mask = None
-        for ctl in controls:
-            cur = self.bit(ctl.qubit)
-            if not ctl.closed:
-                cur = ~cur
-            mask = cur if mask is None else (mask & cur)
-        if mask is None:
-            return np.ones(1 << self.n_bits, dtype=bool)
-        return mask
+    Controls on bits k > j view the 2**n vector as (2**(n-k-1), 2,
+    2**(k-j-1), 2, 2**j) and fix each control axis at 1 (closed) or 0
+    (open): a strided view, with no mask and no copy."""
+    hi = vec.size.bit_length() - 1
+    shape, index = [], []
+    for ctl in sorted(controls, key=lambda c: c.qubit, reverse=True):
+        shape += [1 << (hi - ctl.qubit - 1), 2]
+        index += [slice(None), int(ctl.closed)]
+        hi = ctl.qubit
+    block = vec.reshape(*shape, 1 << hi)[(*index, slice(None))]
+    block *= factor
 
 
-def _apply_window(state: np.ndarray, mask: np.ndarray,
-                  f_sel: complex, f_rest: complex) -> None:
-    """In-place diagonal contraction: f_sel on the control subspace,
-    f_rest elsewhere (f_rest is 1 for noiseless gates)."""
-    if f_rest != 1.0:
-        state *= f_rest
-        f_sel = f_sel / f_rest
-    np.multiply(state, f_sel, out=state, where=mask)
+def _post_select(state: np.ndarray, scale: complex) -> float:
+    """Normalize in place at a barrier, folding in the round's deferred
+    <0|P|0> factors ``scale``; returns p = |scale|**2 * ||state||**2."""
+    p = abs(scale) ** 2 * float(np.vdot(state, state).real)
+    if p <= 0.0:
+        raise ParameterError("post-selection branch has zero amplitude")
+    state *= scale / math.sqrt(p)
+    return p
 
 
 def _window_factors(gate: Gate, alpha: float,
@@ -275,7 +267,7 @@ def _window_factors(gate: Gate, alpha: float,
 def simulate_postselected(circuit: Circuit | LayeredCircuit,
                           noise: NoiseRealization | None = None
                           ) -> tuple[StateVector, SimReport]:
-    """Data-register-only simulation via diagonal window contraction.
+    """Data-register-only simulation via the strided window kernel.
 
     Ancilla-targeted B gates multiply the data state by <0|B|0> on their
     control subspace (the block-encoding identity); barriers record the
@@ -287,32 +279,28 @@ def simulate_postselected(circuit: Circuit | LayeredCircuit,
     _check_capacity(n)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
-    bits = _BitMasks(n)
+    scale = 1.0  # <0|P|0> of the noisy windows since the last barrier
     probs: list[float] = []
 
     for elem in circuit.elements:
         if isinstance(elem, MeasureBarrier):
-            # contraction factors applied since the last barrier show up here
-            nrm2 = float(np.vdot(state, state).real)
-            if nrm2 <= 0.0:
-                raise ParameterError("post-selection branch has zero amplitude")
-            probs.append(nrm2)
-            state = state / math.sqrt(nrm2)
+            probs.append(_post_select(state, scale))
+            scale = 1.0
             continue
+        if any(circuit.is_ancilla(c.qubit) for c in elem.controls):
+            raise ParameterError("ancilla-controlled gates are unsupported")
         if circuit.is_ancilla(elem.target):
             if elem.kind is not GateKind.B:
                 raise ParameterError(
                     "post-selected backend supports only B gates on ancilla")
-            if any(circuit.is_ancilla(c.qubit) for c in elem.controls):
-                raise ParameterError("ancilla-controlled gates are unsupported")
             f_sel, f_rest = _window_factors(elem, circuit.alpha, noise)
-            _apply_window(state, bits.control_mask(elem.controls),
-                          f_sel, f_rest)
+            _apply_window(state, elem.controls, f_sel / f_rest)
+            scale *= f_rest
             continue
-        if any(circuit.is_ancilla(c.qubit) for c in elem.controls):
-            raise ParameterError("ancilla-controlled gates are unsupported")
         mat = _gate_full_matrix(elem, circuit.alpha, noise)
         state = _apply_unitary(state, mat, list(elem.qubits), n)
+    if scale != 1.0:
+        state *= scale  # a window left without a barrier
 
     gamma2 = float(np.prod(probs)) if probs else 1.0
     sv = StateVector(n_qubits=n, amplitudes=state, cumulative_success=gamma2)
@@ -437,6 +425,29 @@ def _core_count(layered: LayeredCircuit) -> int:
     return core
 
 
+def _product_prelude(layered: LayeredCircuit, core: int,
+                     noise: NoiseRealization | None) -> np.ndarray:
+    """Core state after the prelude, built as a Kronecker product: prelude
+    gates and their noise act on single qubits, so each core qubit stays a
+    2-vector, and doubling for qubit j fills amplitudes 2**j..2**(j+1)-1."""
+    qubits = np.zeros((core, 2), dtype=complex)
+    qubits[:, 0] = 1.0
+    for gate in layered.prelude.gates():
+        if gate.controls or gate.target > core:
+            raise ParameterError(
+                "prelude gates must be uncontrolled and act on data qubits")
+        if gate.target == core:
+            continue  # the top-qubit Hadamard is not part of the core
+        mat = _gate_full_matrix(gate, layered.alpha, noise)
+        qubits[gate.target] = mat @ qubits[gate.target]
+    state = np.empty(1 << core, dtype=complex)
+    state[0] = 1.0
+    for j, (amp0, amp1) in enumerate(qubits):
+        np.multiply(state[:1 << j], amp1, out=state[1 << j:2 << j])
+        state[:1 << j] *= amp0
+    return state
+
+
 def core_pipeline(layered: LayeredCircuit,
                   noise: NoiseRealization | None = None,
                   order: tuple[int, ...] | None = None
@@ -448,27 +459,17 @@ def core_pipeline(layered: LayeredCircuit,
     delta search uses.
     """
     core = _core_count(layered)
-    _check_capacity(core)
-    state = np.zeros(1 << core, dtype=complex)
-    state[0] = 1.0
-    bits = _BitMasks(core)
-    for gate in layered.prelude.gates():
-        if gate.target >= core:
-            continue  # the top-qubit Hadamard is not part of the core
-        mat = _gate_full_matrix(gate, layered.alpha, noise)
-        state = _apply_unitary(state, mat, list(gate.qubits), core)
+    _check_capacity(core, copies=2)  # tracemalloc peak at core 15..21
+    state = _product_prelude(layered, core, noise)
     probs: list[float] = []
     seq = order if order is not None else range(len(layered.layers))
     for li in seq:
+        scale = 1.0
         for gate in layered.layers[li].gates:
             f_sel, f_rest = _window_factors(gate, layered.alpha, noise)
-            _apply_window(state, bits.control_mask(gate.controls),
-                          f_sel, f_rest)
-        nrm2 = float(np.vdot(state, state).real)
-        if nrm2 <= 0.0:
-            raise ParameterError("post-selection branch has zero amplitude")
-        probs.append(nrm2)
-        state = state / math.sqrt(nrm2)
+            _apply_window(state, gate.controls, f_sel / f_rest)
+            scale *= f_rest
+        probs.append(_post_select(state, scale))
     return state, probs
 
 
@@ -483,17 +484,16 @@ class GaussianLayerModel:
                  noise: NoiseRealization | None = None):
         core = _core_count(layered)
         _check_capacity(core, copies=2 + len(layered.layers))
-        state, _ = core_pipeline(
-            layered.with_layers(()), noise=noise)
-        self.weights0 = np.abs(state) ** 2
-        bits = _BitMasks(core)
+        self.weights0 = np.abs(_product_prelude(layered, core, noise)) ** 2
         self.layer_sq: list[np.ndarray] = []
         for layer in layered.layers:
             sq = np.ones(1 << core)
+            scale = 1.0
             for gate in layer.gates:
                 f_sel, f_rest = _window_factors(gate, layered.alpha, noise)
-                _apply_window(sq, bits.control_mask(gate.controls),
-                              abs(f_sel) ** 2, abs(f_rest) ** 2)
+                _apply_window(sq, gate.controls, abs(f_sel / f_rest) ** 2)
+                scale *= abs(f_rest) ** 2
+            sq *= scale
             self.layer_sq.append(sq)
 
     def probs(self, order) -> np.ndarray:

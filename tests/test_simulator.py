@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gausskit.builders import (
     build_exponential,
@@ -12,7 +15,7 @@ from gausskit.builders import (
 )
 from gausskit.circuit import Circuit, MeasureBarrier
 from gausskit.gates import Control, Gate, GateKind, GaussianSpec, ParameterError
-from gausskit.optimizer import ErrorBudget
+from gausskit.optimizer import ErrorBudget, pack_layers, prune_layered
 from gausskit.simulator import (
     CapacityError,
     GaussianLayerModel,
@@ -290,6 +293,83 @@ def test_core_pipeline_matches_full_simulation():
     ideal_core = np.exp(math.log(0.9) * (np.arange(64) + 0.5) ** 2)
     ideal_core /= np.linalg.norm(ideal_core)
     assert l2_error(ideal_core, core_state) < 1e-12
+
+
+def _assert_same_run(state, probs, sv_exact, rep_exact):
+    assert np.abs(state - sv_exact.amplitudes).max() < 1e-12
+    assert len(probs) == len(rep_exact.layer_probs)
+    assert np.abs(np.subtract(probs, rep_exact.layer_probs)).max(
+        initial=0.0) < 1e-12
+
+
+@seed(20261017)
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(4, 8), draw=st.integers(0, 2 ** 32 - 1),
+       noisy=st.booleans())
+def test_core_pipeline_matches_exact_backend(n, draw, noisy):
+    # relabelled rounds, pruning (the prelude then holds H/X pairs) and a
+    # random layer order; the exact backend runs the same flattened layers
+    rng = np.random.default_rng(draw)
+    eps = 10.0 ** -rng.uniform(1.5, 4.0)
+    budget = ErrorBudget.two_to_one(min(0.2, eps * 10.0 ** rng.uniform(-0.5, 1.5)))
+    lay, _ = prune_layered(
+        layered_full_gaussian(n, 1.0 - eps, rounds=pack_layers(n - 1, rng)),
+        budget)
+    noise = (realize_noise(lay.to_circuit().gates(), budget, rng)
+             if noisy else None)
+    order = tuple(int(i) for i in rng.permutation(len(lay.layers)))
+    state, probs = core_pipeline(lay, noise=noise, order=order)
+    ordered = dataclasses.replace(
+        lay, layers=tuple(lay.layers[i] for i in order),
+        postlude=dataclasses.replace(lay.postlude, elements=()))
+    sv, rep = simulate_exact(ordered.to_circuit(), noise=noise)
+    # the top qubit (most significant) holds only the prelude's Hadamard
+    _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), state), probs, sv, rep)
+
+
+@seed(20261017)
+@settings(max_examples=60, deadline=None, database=None)
+@given(full=st.booleans(), n=st.integers(3, 6),
+       draw=st.integers(0, 2 ** 32 - 1), noisy=st.booleans())
+def test_postselected_windows_match_exact_backend(full, n, draw, noisy):
+    # random open/closed controls make the two control axes of a window
+    # distinguishable; the full Gaussian adds its open-control postlude
+    rng = np.random.default_rng(draw)
+    circ = (build_full_gaussian if full else build_half_gaussian)(n, 0.9)
+    elements = tuple(
+        dataclasses.replace(e, controls=tuple(
+            Control(c.qubit, closed=bool(rng.integers(2)))
+            for c in e.controls))
+        if isinstance(e, Gate) and e.kind is GateKind.B else e
+        for e in circ.elements)
+    circ = dataclasses.replace(circ, elements=elements)
+    noise = (realize_noise(circ.gates(), ErrorBudget.two_to_one(1e-2), rng)
+             if noisy else None)
+    sv, rep = simulate_postselected(circ, noise=noise)
+    _assert_same_run(sv.amplitudes, rep.layer_probs,
+                     *simulate_exact(circ, noise=noise))
+
+
+@pytest.mark.parametrize("gate", [
+    Gate(GateKind.CNOT, 1, controls=(Control(0),)),
+    Gate(GateKind.H, 7),  # an ancilla
+])
+def test_core_pipeline_rejects_gate_outside_product_prelude(gate):
+    lay = layered_full_gaussian(6, 0.9)
+    lay = dataclasses.replace(lay, prelude=lay.prelude.extended(gate))
+    with pytest.raises(ParameterError):
+        core_pipeline(lay)
+
+
+def test_core_pipeline_capacity_boundary(monkeypatch):
+    # predicted need: two 2**core complex states (the measured peak)
+    lay = layered_full_gaussian(9, 0.95)
+    need_mb = (1 << 8) * 16 * 2 / 1e6
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+    core_pipeline(lay)
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+    with pytest.raises(CapacityError):
+        core_pipeline(lay)
 
 
 def test_layer_model_matches_sequential_probs():
