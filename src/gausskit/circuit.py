@@ -63,47 +63,49 @@ def validate(circuit: Circuit) -> list[str]:
 
     An empty list means the circuit is well-formed: all indices in range,
     every B-gate ancilla fresh (never used, or measured since last use),
-    and no barrier measuring a data qubit.
+    every touched ancilla measured before the circuit ends, and no barrier
+    measuring a data qubit.
     """
-    violations: list[str] = []
+    return [f"element {idx}: {message}"
+            for idx, message in _violations(circuit)]
+
+
+def _violations(circuit: Circuit) -> list[tuple[int, str]]:
+    """(element index, message) for each violation ``validate`` reports."""
+    violations: list[tuple[int, str]] = []
     total = circuit.total_qubits
-    dirty: set[int] = set()
+    dirty: dict[int, int] = {}  # touched ancilla -> last element touching it
     for idx, elem in enumerate(circuit.elements):
         if isinstance(elem, MeasureBarrier):
             for a in elem.ancilla:
                 if not circuit.is_ancilla(a) or a >= total:
                     violations.append(
-                        f"element {idx}: barrier measures non-ancilla qubit {a}")
-            dirty.difference_update(elem.ancilla)
+                        (idx, f"barrier measures non-ancilla qubit {a}"))
+                dirty.pop(a, None)
             continue
         for q in elem.qubits:
             if q < 0 or q >= total:
                 violations.append(
-                    f"element {idx}: qubit {q} out of range (total {total})")
-        if elem.kind is GateKind.B and circuit.is_ancilla(elem.target):
-            if elem.target in dirty:
-                violations.append(
-                    f"element {idx}: ancilla {elem.target} not reset before B gate")
-            dirty.add(elem.target)
-        else:
-            # any other touch of an ancilla also marks it dirty
-            for q in elem.qubits:
-                if circuit.is_ancilla(q):
-                    dirty.add(q)
+                    (idx, f"qubit {q} out of range (total {total})"))
+        if (elem.kind is GateKind.B and circuit.is_ancilla(elem.target)
+                and elem.target in dirty):
+            violations.append(
+                (idx, f"ancilla {elem.target} not reset before B gate"))
+        # any touch of an ancilla marks it dirty until measured
+        for q in elem.qubits:
+            if circuit.is_ancilla(q):
+                dirty[q] = idx
+    for a, idx in dirty.items():
+        violations.append(
+            (idx, f"ancilla {a} still unmeasured at the end of the circuit"))
     return violations
 
 
 @dataclass(frozen=True)
 class Layer:
-    """One round of doubly-controlled rotations between measurement barriers.
-
-    ``t_depth`` (the layer's T-depth) and ``success_prob`` are filled in by
-    the resource model and the simulator; they stay None until computed.
-    """
+    """One round of doubly-controlled rotations between measurement barriers."""
 
     gates: tuple[Gate, ...]
-    t_depth: float | None = None
-    success_prob: float | None = None
 
     def __post_init__(self) -> None:
         used: set[int] = set()
@@ -131,10 +133,6 @@ class Layer:
     @property
     def ancilla(self) -> tuple[int, ...]:
         return tuple(g.target for g in self.gates)
-
-    def with_stats(self, t_depth: float | None = None,
-                   success_prob: float | None = None) -> "Layer":
-        return replace(self, t_depth=t_depth, success_prob=success_prob)
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,3 @@ class LayeredCircuit:
             alpha=self.alpha,
             elements=tuple(elements),
         )
-
-
-def layer_pair_sets(layered: LayeredCircuit) -> list[tuple[tuple[int, int], ...]]:
-    return [layer.control_pairs for layer in layered.layers]

@@ -1,7 +1,13 @@
 """Command-line front end: circuit generation, simulation, and sweeps.
 
-Exit codes: 0 success, 2 usage error, 3 circuit parse error, 4 capacity.
-Output is plain text and CSV; plotting is left to external tools.
+``generate`` writes a circuit of one family in the textual format,
+``simulate`` runs a circuit file or a Gaussian spec, and ``sweep`` grids
+resource estimates into CSV.  The family table ``FAMILIES`` pairs each
+builder with the closed-form target a circuit file is compared against.
+
+Exit codes: 0 success, 2 usage error, 3 unparsable or invalid circuit file
+(the message names the line), 4 capacity.  Output is plain text and CSV;
+plotting is left to external tools.
 """
 from __future__ import annotations
 
@@ -15,7 +21,6 @@ import click
 import numpy as np
 
 from . import builders, optimizer, resources, simulator, textio
-from .circuit import validate
 from .gates import GaussianSpec, ParameterError
 
 CSV_COLUMNS = ["n_qubits", "alpha_or_beta", "delta", "epsilon", "gamma",
@@ -30,11 +35,42 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _parse_n(value: str) -> tuple[int, ...]:
+def _ints(value: str, count: int, option: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of exactly ``count`` integers."""
     try:
-        return tuple(int(p) for p in value.split(","))
+        ints = tuple(int(p) for p in value.split(","))
     except ValueError:
-        raise click.BadParameter(f"bad qubit count {value!r}")
+        ints = ()
+    if len(ints) != count:
+        raise click.BadParameter(
+            f"expected {count} comma-separated integer(s), got {value!r}",
+            param_hint=option)
+    return ints
+
+
+# family -> (build(ns, alpha, d, q, layered), ideal(n, alpha, d, q, tail)):
+# d is the phase degree, q the 2-D quadratic form, tail the ideal's
+# normalization; ideal() is the target that simulate FILE --family compares to
+FAMILIES = {
+    "phase": (
+        lambda ns, a, d, q, layered: builders.build_poly_phase(ns[0], a, d),
+        lambda n, a, d, q, tail: simulator.ideal_phase_state(n, a, d)),
+    "exponential": (
+        lambda ns, a, d, q, layered: builders.build_exponential(ns[0], a),
+        lambda n, a, d, q, tail: simulator.ideal_exponential(n, a)),
+    "half-gaussian": (
+        lambda ns, a, d, q, layered: builders.build_half_gaussian(ns[0], a),
+        lambda n, a, d, q, tail: simulator.ideal_half_gaussian(n, a, tail)),
+    "gaussian": (
+        lambda ns, a, d, q, layered: (
+            builders.layered_full_gaussian(ns[0], a).to_circuit() if layered
+            else builders.build_full_gaussian(ns[0], a)),
+        lambda n, a, d, q, tail: simulator.ideal_gaussian(n, a, tail)),
+    "gaussian2d": (
+        lambda ns, a, d, q, layered: builders.build_gaussian_2d(*ns, q, a),
+        lambda n, a, d, q, tail: simulator.ideal_gaussian_2d(
+            n - n // 2, n // 2, q, a)),
+}
 
 
 @click.group()
@@ -43,9 +79,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--family", required=True,
-              type=click.Choice(["phase", "exponential", "half-gaussian",
-                                 "gaussian", "gaussian2d"]))
+@click.option("--family", required=True, type=click.Choice(list(FAMILIES)))
 @click.option("--n", "n_spec", required=True, help="qubits, e.g. 6 or 3,3")
 @click.option("--alpha", type=float, default=None)
 @click.option("--beta", type=float, default=None)
@@ -54,39 +88,19 @@ def main() -> None:
 @click.option("--q", "qform", default="1,0,1",
               help="2-D quadratic form cxx,cxy,cyy")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--seed", type=int, default=0, help="accepted for interface parity")
-@click.option("--threads", type=int, default=1, help="accepted for interface parity")
-def generate(family, n_spec, alpha, beta, degree, layered, qform, out,
-             seed, threads) -> None:
+def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
     """Build a circuit and write it in the textual format."""
-    ns = _parse_n(n_spec)
-    n = ns[0]
+    ns = _ints(n_spec, 2 if family == "gaussian2d" else 1, "--n")
+    q = _ints(qform, 3, "--q")
+    build, _ = FAMILIES[family]
     try:
         if beta is not None and alpha is None:
             alpha = GaussianSpec(n_qubits=sum(ns), beta=beta).derived_alpha
         if alpha is None:
             raise click.UsageError("provide --alpha or --beta")
-        if family == "phase":
-            circuit = builders.build_poly_phase(n, alpha, degree)
-        elif family == "exponential":
-            circuit = builders.build_exponential(n, alpha)
-        elif family == "half-gaussian":
-            circuit = builders.build_half_gaussian(n, alpha)
-        elif family == "gaussian":
-            if layered:
-                circuit = builders.layered_full_gaussian(n, alpha).to_circuit()
-            else:
-                circuit = builders.build_full_gaussian(n, alpha)
-        else:
-            if len(ns) != 2:
-                raise click.UsageError("gaussian2d needs --n nx,ny")
-            q = tuple(int(p) for p in qform.split(","))
-            circuit = builders.build_gaussian_2d(ns[0], ns[1], q, alpha)
+        circuit = build(ns, alpha, degree, q, layered)
     except ParameterError as exc:
         raise click.UsageError(str(exc))
-    problems = validate(circuit)
-    if problems:
-        _fail(1, "; ".join(problems))
     text = textio.dumps(circuit)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -98,10 +112,8 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out,
 @main.command()
 @click.argument("circuit_file", required=False,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--family",
-              type=click.Choice(["phase", "exponential", "half-gaussian",
-                                 "gaussian", "gaussian2d"]),
-              default=None, help="compare a circuit file against this target")
+@click.option("--family", type=click.Choice(list(FAMILIES)), default=None,
+              help="compare a circuit file against this target")
 @click.option("--n", "n_spec", default=None)
 @click.option("--d", "degree", type=int, default=1)
 @click.option("--q", "qform", default="1,0,1")
@@ -115,12 +127,17 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out,
               default="finite",
               help="reference convention for circuit-file comparisons")
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=int, default=1)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="append one CSV row here")
 def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
-             alloc, order, tail, seed, threads, out) -> None:
+             alloc, order, tail, seed, out) -> None:
     """Simulate a circuit file or a Gaussian spec and report the numbers."""
+    q = _ints(qform, 3, "--q")
+    if circuit_file is None:
+        if n_spec is None:
+            raise click.UsageError(
+                "give a circuit file or --n with --alpha/--beta")
+        n_qubits = _ints(n_spec, 1, "--n")[0]
     try:
         if circuit_file:
             circuit = textio.load(circuit_file)
@@ -128,19 +145,19 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
             n_qubits = circuit.data_qubits
             if alpha is None:
                 alpha = circuit.alpha
-            eps = _file_epsilon(state, family, circuit, degree, qform, tail)
+            eps = math.nan
+            if family is not None:
+                _, ideal = FAMILIES[family]
+                eps = simulator.l2_error(
+                    ideal(n_qubits, circuit.alpha, degree, q, tail),
+                    state.amplitudes)
             gamma = rep.subnormalization
             probs = rep.layer_probs
             et = (resources.circuit_t_depth(
-                circuit, optimizer.ErrorBudget.two_to_one(delta)
-                if alloc == "2to1" else optimizer.ErrorBudget.uniform(delta))
+                circuit, resources._budget(delta, alloc))
                 if delta > 0 else math.nan)
         elif delta == 0.0:
             # noiseless reference run: no budget, so no T-depth figure
-            if n_spec is None:
-                raise click.UsageError(
-                    "give a circuit file or --n with --alpha/--beta")
-            n_qubits = _parse_n(n_spec)[0]
             spec = GaussianSpec(n_qubits=n_qubits, alpha=alpha, beta=beta)
             alpha = spec.derived_alpha
             layered = builders.layered_full_gaussian(n_qubits, alpha)
@@ -151,10 +168,6 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
             gamma = rep.subnormalization
             probs = rep.layer_probs
         else:
-            if n_spec is None:
-                raise click.UsageError(
-                    "give a circuit file or --n with --alpha/--beta")
-            n_qubits = _parse_n(n_spec)[0]
             spec = GaussianSpec(n_qubits=n_qubits, alpha=alpha, beta=beta,
                                 gate_error=delta)
             report = resources.estimate(spec, seed=seed, order=order,
@@ -179,26 +192,6 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     if out:
         row = [n_qubits, alpha, delta, eps, gamma, et, len(probs), seed]
         _append_csv(out, [row])
-
-
-def _file_epsilon(state, family, circuit, degree, qform, tail) -> float:
-    """Error of a simulated circuit file against the requested target."""
-    if family is None:
-        return math.nan
-    n, alpha = circuit.data_qubits, circuit.alpha
-    if family == "phase":
-        ideal = simulator.ideal_phase_state(n, alpha, degree)
-    elif family == "exponential":
-        ideal = simulator.ideal_exponential(n, alpha)
-    elif family == "half-gaussian":
-        ideal = simulator.ideal_half_gaussian(n, alpha, tail=tail)
-    elif family == "gaussian":
-        ideal = simulator.ideal_gaussian(n, alpha, tail=tail)
-    else:
-        q = tuple(int(p) for p in qform.split(","))
-        half = n // 2
-        ideal = simulator.ideal_gaussian_2d(n - half, half, q, alpha)
-    return simulator.l2_error(ideal, state.amplitudes)
 
 
 @main.command()
@@ -229,7 +222,7 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
     if not grids:
         grids = [("delta", np.array([delta if delta is not None else 1e-6]))]
     fixed = {"alpha": alpha, "beta": beta, "delta": delta,
-             "n": _parse_n(n_spec)[0] if n_spec else None}
+             "n": _ints(n_spec, 1, "--n")[0] if n_spec else None}
 
     points = []
     shape = [len(g[1]) for g in grids]

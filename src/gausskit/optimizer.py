@@ -93,9 +93,7 @@ def prunable_control_depth(alpha: float, delta: float, n: int) -> int:
     """How many bottom qubits' controlled rotations are delta-close to identity.
 
     Largest k >= 0 with 1 - alpha**(2**(k+n-1)) < delta, found by direct
-    scan of the condition (the inequality is monotone in k).  The closed
-    form floor(log2(log(delta)/log(alpha))) + 1 - n is inconsistent with
-    this condition and is kept only as a diagnostic.
+    scan of the condition (the inequality is monotone in k).
     """
     if not (0.0 < alpha < 1.0) or not (0.0 < delta < 1.0):
         raise ParameterError("alpha and delta must lie in (0, 1)")
@@ -107,12 +105,6 @@ def prunable_control_depth(alpha: float, delta: float, n: int) -> int:
             break
         k += 1
     return k
-
-
-def prunable_control_depth_closed_form(alpha: float, delta: float, n: int) -> int:
-    """Diagnostic only: the published closed form, which tracks the
-    condition alpha**(2**(k+n-1)) > delta rather than the stated one."""
-    return math.floor(math.log2(math.log(delta) / math.log(alpha))) + 1 - n
 
 
 @dataclass(frozen=True)

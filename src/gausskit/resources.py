@@ -4,8 +4,7 @@ Rotation synthesis costs follow the standard single-qubit bound of
 1.15*log2(1/eps) + 9.2 T gates.  A controlled rotation splits into two
 rotations at eps/2 (2.3*log2(1/eps) + 20.7); a doubly-controlled rotation
 adds a Toffoli pair worth 4 T gates (2.3*log2(1/eps) + 24.7).  Costs stay
-real-valued by default so figures remain comparable across budgets; an
-integer-ceiling mode exists for conservative reporting.
+real-valued so figures remain comparable across budgets.
 """
 from __future__ import annotations
 
@@ -22,26 +21,23 @@ from .optimizer import (ErrorBudget, expected_t_depth, order_layers,
 TOFFOLI_PAIR_T = 4.0
 
 
-@dataclass(frozen=True)
 class CostModel:
-    rounding: str = "real"  # "real" | "ceil"
+    """T-count of a rotation synthesized to accuracy epsilon, by control count."""
 
-    def _round(self, value: float) -> float:
-        if self.rounding == "ceil":
-            return float(math.ceil(value))
-        return value
-
-    def single_rotation(self, epsilon: float) -> float:
+    @staticmethod
+    def single_rotation(epsilon: float) -> float:
         _check_epsilon(epsilon)
-        return self._round(1.15 * math.log2(1.0 / epsilon) + 9.2)
+        return 1.15 * math.log2(1.0 / epsilon) + 9.2
 
-    def controlled_rotation(self, epsilon: float) -> float:
+    @staticmethod
+    def controlled_rotation(epsilon: float) -> float:
         _check_epsilon(epsilon)
-        return self._round(2.3 * math.log2(1.0 / epsilon) + 20.7)
+        return 2.3 * math.log2(1.0 / epsilon) + 20.7
 
-    def doubly_controlled(self, epsilon: float) -> float:
+    @staticmethod
+    def doubly_controlled(epsilon: float) -> float:
         _check_epsilon(epsilon)
-        return self._round(2.3 * math.log2(1.0 / epsilon) + 24.7)
+        return 2.3 * math.log2(1.0 / epsilon) + 24.7
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -49,8 +45,7 @@ def _check_epsilon(epsilon: float) -> None:
         raise ParameterError(f"synthesis accuracy must lie in (0, 1), got {epsilon}")
 
 
-def gate_t_cost(gate: Gate, epsilon: float,
-                model: CostModel = CostModel()) -> tuple[float, float]:
+def gate_t_cost(gate: Gate, epsilon: float) -> tuple[float, float]:
     """(T-count, T-depth) of one gate synthesized to accuracy epsilon.
 
     Cliffords are free.  A doubly-controlled rotation's depth is priced at
@@ -61,11 +56,11 @@ def gate_t_cost(gate: Gate, epsilon: float,
         return (0.0, 0.0)
     n_ctl = len(gate.controls)
     if n_ctl == 0:
-        cost = model.single_rotation(epsilon)
+        cost = CostModel.single_rotation(epsilon)
     elif n_ctl == 1:
-        cost = model.controlled_rotation(epsilon)
+        cost = CostModel.controlled_rotation(epsilon)
     elif n_ctl == 2:
-        cost = model.doubly_controlled(epsilon)
+        cost = CostModel.doubly_controlled(epsilon)
     else:
         raise ParameterError(
             "no cost model for rotations with more than two controls")
@@ -77,8 +72,7 @@ def _has_rotation(circuit: Circuit) -> bool:
                for g in circuit.gates())
 
 
-def layered_t_depth(layered: LayeredCircuit, budget: ErrorBudget,
-                    model: CostModel = CostModel()
+def layered_t_depth(layered: LayeredCircuit, budget: ErrorBudget
                     ) -> tuple[float, list[float]]:
     """(prelude depth n0, per-layer depths n_k).
 
@@ -87,23 +81,14 @@ def layered_t_depth(layered: LayeredCircuit, budget: ErrorBudget,
     Cliffords).  Each layer's gates occupy disjoint qubits, so the layer
     costs one doubly-controlled depth at the controlled budget.
     """
-    n0 = (model.single_rotation(budget.delta_single)
+    n0 = (CostModel.single_rotation(budget.delta_single)
           if _has_rotation(layered.prelude) else 0.0)
-    nks = [model.doubly_controlled(budget.delta_controlled)
+    nks = [CostModel.doubly_controlled(budget.delta_controlled)
            for _ in layered.layers]
     return n0, nks
 
 
-def fold_prelude(n0: float, nks: list[float]) -> list[float]:
-    """Alternative grouping that adds the prelude depth to the first layer;
-    the expected-T-depth formula gives the same value either way."""
-    if not nks:
-        return [n0]
-    return [nks[0] + n0] + list(nks[1:])
-
-
-def circuit_t_depth(circuit: Circuit, budget: ErrorBudget,
-                    model: CostModel = CostModel()) -> float:
+def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:
     """T-depth of a flat circuit: rotations pack greedily into parallel
     stages of disjoint qubits; Cliffords are transparent; each stage costs
     its most expensive gate."""
@@ -125,7 +110,7 @@ def circuit_t_depth(circuit: Circuit, budget: ErrorBudget,
             continue
         eps = (budget.delta_single if not elem.controls
                else budget.delta_controlled)
-        _, depth = gate_t_cost(elem, eps, model)
+        _, depth = gate_t_cost(elem, eps)
         if stage_qubits & set(elem.qubits):
             flush()
         stage_cost = max(stage_cost, depth)
@@ -153,8 +138,7 @@ class EstimateReport:
 
 def estimate(spec: GaussianSpec, *, target_error: float | None = None,
              seed: int = 0, order: str = "optimal", alloc: str = "2to1",
-             prune: bool = True, model: CostModel = CostModel()
-             ) -> EstimateReport:
+             prune: bool = True) -> EstimateReport:
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
     With ``target_error`` set, the gate budget is bisected to the largest
@@ -174,7 +158,7 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
         delta = _search_delta(spec, target_error, seed, alloc, prune)
         spec = dc_replace(spec, gate_error=delta)
     return _estimate_fixed(spec, seed=seed, order=order, alloc=alloc,
-                           prune=prune, model=model)
+                           prune=prune)
 
 
 def spec_from_threshold(alpha: float, gate_error: float,
@@ -227,7 +211,7 @@ def _search_delta(spec: GaussianSpec, target_error: float, seed: int,
 
 
 def _estimate_fixed(spec: GaussianSpec, *, seed: int, order: str, alloc: str,
-                    prune: bool, model: CostModel) -> EstimateReport:
+                    prune: bool) -> EstimateReport:
     from . import simulator
     from .builders import layered_full_gaussian
 
@@ -242,7 +226,7 @@ def _estimate_fixed(spec: GaussianSpec, *, seed: int, order: str, alloc: str,
     rng = np.random.default_rng(seed)
     noise = simulator.realize_noise(layered.to_circuit().gates(), budget, rng)
 
-    n0, nks = layered_t_depth(layered, budget, model)
+    n0, nks = layered_t_depth(layered, budget)
     _, probs_packed = simulator.core_pipeline(layered, noise=noise)
     permutation = _pick_order(order, nks, probs_packed, seed)
 

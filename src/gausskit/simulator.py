@@ -35,7 +35,7 @@ class CapacityError(RuntimeError):
     """The simulation would exceed the qubit or memory budget."""
 
 
-def _check_capacity(n_bits: int, copies: int = 4) -> None:
+def _check_capacity(n_bits: int, copies: float = 4) -> None:
     if n_bits > MAX_QUBITS:
         raise CapacityError(
             f"{n_bits} qubits exceeds the {MAX_QUBITS}-qubit simulator budget")
@@ -49,11 +49,10 @@ def _check_capacity(n_bits: int, copies: int = 4) -> None:
 
 @dataclass
 class StateVector:
-    """Complex amplitudes plus the cumulative post-selection probability."""
+    """Complex amplitudes of the data register."""
 
     n_qubits: int
     amplitudes: np.ndarray
-    cumulative_success: float = 1.0
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -220,8 +219,7 @@ def simulate_exact(circuit: Circuit,
         raise ParameterError(
             f"circuit ended with unmeasured live ancilla {sorted(position)}")
     gamma2 = float(np.prod(probs)) if probs else 1.0
-    sv = StateVector(n_qubits=n_data, amplitudes=state,
-                     cumulative_success=gamma2)
+    sv = StateVector(n_qubits=n_data, amplitudes=state)
     report = SimReport(subnormalization=math.sqrt(gamma2),
                        layer_probs=tuple(probs), data_qubit_count=n_data)
     return sv, report
@@ -303,7 +301,7 @@ def simulate_postselected(circuit: Circuit | LayeredCircuit,
         state *= scale  # a window left without a barrier
 
     gamma2 = float(np.prod(probs)) if probs else 1.0
-    sv = StateVector(n_qubits=n, amplitudes=state, cumulative_success=gamma2)
+    sv = StateVector(n_qubits=n, amplitudes=state)
     report = SimReport(subnormalization=math.sqrt(gamma2),
                        layer_probs=tuple(probs), data_qubit_count=n)
     return sv, report
@@ -483,7 +481,10 @@ class GaussianLayerModel:
     def __init__(self, layered: LayeredCircuit,
                  noise: NoiseRealization | None = None):
         core = _core_count(layered)
-        _check_capacity(core, copies=2 + len(layered.layers))
+        # tracemalloc peak at core 15 and 18: the prelude and its squared
+        # magnitudes (1.5 states), or float64 half-states for weights0, each
+        # layer and the copy probs() makes
+        _check_capacity(core, copies=max(1.5, 1 + len(layered.layers) / 2))
         self.weights0 = np.abs(_product_prelude(layered, core, noise)) ** 2
         self.layer_sq: list[np.ndarray] = []
         for layer in layered.layers:
@@ -506,13 +507,6 @@ class GaussianLayerModel:
             out[i] = cur / prev
             prev = cur
         return out
-
-
-def layer_success_probs(layered: LayeredCircuit,
-                        noise: NoiseRealization | None = None) -> list[float]:
-    """Exact p_k of each layer in its stored order."""
-    _, probs = core_pipeline(layered, noise=noise)
-    return probs
 
 
 def run_noisy(layered: LayeredCircuit, budget: ErrorBudget,
@@ -568,7 +562,7 @@ def monte_carlo_rus(layered: LayeredCircuit, budget: ErrorBudget,
     if trials < 1:
         raise ParameterError("need at least one trial")
     n0, nks = resources.layered_t_depth(layered, budget)
-    ps = np.asarray(layer_success_probs(layered))
+    ps = np.asarray(core_pipeline(layered)[1])
     return simulate_rus_process(n0, nks, ps, trials, seed)
 
 

@@ -13,13 +13,15 @@ Header, then one element per line::
 
 ``!`` marks an open control.  Gate lines use absolute qubit indices
 (ancilla start at ``data``); MEASURE lines use ancilla-relative indices.
-Field order is fixed, so export -> import -> export is byte-identical.
+Blank lines and ``#`` lines are skipped.  Field order is fixed, so
+export -> import -> export is byte-identical.  ``load`` also validates the
+circuit, naming the line of the first offending element.
 """
 from __future__ import annotations
 
 import re
 
-from .circuit import Circuit, MeasureBarrier
+from .circuit import Circuit, MeasureBarrier, _violations
 from .gates import Control, Gate, GateKind
 
 
@@ -67,6 +69,11 @@ def _parse_target(token: str, line_no: int) -> int:
 
 
 def loads(text: str) -> Circuit:
+    return _parse(text)[0]
+
+
+def _parse(text: str) -> tuple[Circuit, list[int]]:
+    """The circuit and the source line number of each of its elements."""
     lines = text.splitlines()
     if not lines:
         raise CircuitParseError(1, "empty circuit file")
@@ -83,8 +90,11 @@ def loads(text: str) -> Circuit:
         alpha = float(fields["alpha"])
     except (KeyError, ValueError) as exc:
         raise CircuitParseError(1, f"bad header field: {exc}") from exc
+    if not (0.0 < alpha < 1.0):
+        raise CircuitParseError(1, f"alpha must lie in (0, 1), got {alpha}")
 
     elements = []
+    line_nos = []
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -127,10 +137,19 @@ def loads(text: str) -> Circuit:
             raise
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from exc
-    return Circuit(data_qubits=data, ancilla_qubits=anc, alpha=alpha,
-                   elements=tuple(elements))
+        line_nos.append(line_no)
+    circuit = Circuit(data_qubits=data, ancilla_qubits=anc, alpha=alpha,
+                      elements=tuple(elements))
+    return circuit, line_nos
 
 
 def load(path: str) -> Circuit:
+    """Read and validate a circuit file; the first violation raises
+    CircuitParseError at the line of its element."""
     with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+        circuit, line_nos = _parse(fh.read())
+    violations = _violations(circuit)
+    if violations:
+        idx, message = violations[0]
+        raise CircuitParseError(line_nos[idx], message)
+    return circuit

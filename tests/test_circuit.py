@@ -23,6 +23,7 @@ def test_validate_flags_unreset_ancilla():
         elements=(
             Gate(GateKind.B, 1, exponent=0.0, controls=(Control(0),)),
             Gate(GateKind.B, 1, exponent=1.0, controls=(Control(0),)),
+            MeasureBarrier((1,)),
         ),
     )
     problems = validate(reuse)
@@ -44,6 +45,20 @@ def test_validate_allows_measured_reuse():
     assert validate(ok) == []
 
 
+def test_validate_flags_unmeasured_ancilla():
+    # the exact backend raises on an ancilla left live at the end
+    open_end = Circuit(
+        data_qubits=1, ancilla_qubits=2, alpha=0.5,
+        elements=(
+            Gate(GateKind.B, 1, exponent=0.0, controls=(Control(0),)),
+            Gate(GateKind.B, 2, exponent=1.0, controls=(Control(0),)),
+            MeasureBarrier((2,)),
+        ),
+    )
+    assert validate(open_end) == [
+        "element 0: ancilla 1 still unmeasured at the end of the circuit"]
+
+
 def test_validate_flags_out_of_range():
     bad = Circuit(data_qubits=1, ancilla_qubits=0, alpha=0.5,
                   elements=(Gate(GateKind.H, 3),))
@@ -57,6 +72,7 @@ def test_validate_flags_out_of_range():
     build_poly_phase(4, 0.3, 2),
     build_gaussian_2d(2, 3, (1, 1, 1), 0.9),
     layered_full_gaussian(7, 0.95).to_circuit(),
+    layered_full_gaussian(6, 0.9).to_circuit(),
 ])
 def test_builder_outputs_validate(circuit):
     assert validate(circuit) == []

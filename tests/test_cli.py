@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from gausskit import textio
 from gausskit.circuit import validate
-from gausskit.cli import main
+from gausskit.cli import FAMILIES, main
 from gausskit.gates import GateKind
 
 
@@ -80,6 +80,60 @@ def test_simulate_parse_error_exit_3(runner, tmp_path):
     bad.write_text("QUBITS data=2 ancilla=0 alpha=0.5\nWAT q0\n")
     result = runner.invoke(main, ["simulate", str(bad)])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("text, line", [
+    # a window whose ancilla is never measured
+    ("QUBITS data=2 ancilla=1 alpha=0.5\n# window\n\nH q0\nB 1 q2 c0 c1\n", 5),
+    # alpha outside (0, 1) in a Clifford-only file
+    ("QUBITS data=2 ancilla=0 alpha=1.5\nH q0\n", 1),
+    # a gate beyond the register
+    ("QUBITS data=2 ancilla=0 alpha=0.5\n\nH q0\n# top\nH q7\n", 5),
+], ids=["unmeasured-ancilla", "alpha-range", "qubit-range"])
+def test_simulate_invalid_file_exit_3(runner, tmp_path, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    result = runner.invoke(main, ["simulate", str(bad)])
+    assert result.exit_code == 3
+    assert f"line {line}:" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--family", "gaussian2d", "--n", "3,3", "--alpha", "0.9",
+     "--q", "1,x,1"],
+    ["simulate", "--n", "6", "--alpha", "0.9", "--q", "1,x,1"],
+    ["generate", "--family", "gaussian", "--n", "4,9", "--alpha", "0.9"],
+], ids=["generate-q", "simulate-q", "generate-n-count"])
+def test_bad_integer_list_usage_error_exit_2(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+
+
+FAMILY_ARGS = {
+    "phase": ["--n", "4", "--d", "2", "--alpha", "0.3"],
+    "exponential": ["--n", "5", "--alpha", "0.6"],
+    "half-gaussian": ["--n", "4", "--alpha", "0.8"],
+    "gaussian": ["--n", "6", "--alpha", "0.9"],
+    "gaussian2d": ["--n", "3,3", "--q", "1,1,1", "--alpha", "0.9"],
+}
+
+
+@pytest.mark.parametrize("family, extra",
+                         [(f, []) for f in FAMILIES]
+                         + [("gaussian", ["--layered"])],
+                         ids=[*FAMILIES, "gaussian-layered"])
+def test_generated_file_matches_family_target(runner, tmp_path, family, extra):
+    path = tmp_path / "circuit.txt"
+    args = FAMILY_ARGS[family]
+    gen = runner.invoke(main, ["generate", "--family", family, *args, *extra,
+                               "--out", str(path)])
+    assert gen.exit_code == 0
+    result = runner.invoke(main, ["simulate", str(path), "--family", family,
+                                  *args])
+    assert result.exit_code == 0
+    eps_line = [l for l in result.output.splitlines() if "epsilon" in l][0]
+    assert float(eps_line.split()[-1]) <= 1e-10
 
 
 def test_simulate_capacity_exit_4(runner, tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from gausskit.resources import (
     CostModel,
     circuit_t_depth,
     estimate,
-    fold_prelude,
     gate_t_cost,
     layered_t_depth,
     spec_from_threshold,
@@ -44,26 +43,20 @@ def test_doubly_controlled_at_double_budget():
 def test_gate_t_cost_classes():
     model = CostModel()
     cnot = Gate(GateKind.CNOT, 0, controls=(Control(1),))
-    assert gate_t_cost(cnot, 1e-3, model) == (0.0, 0.0)
+    assert gate_t_cost(cnot, 1e-3) == (0.0, 0.0)
     h = Gate(GateKind.H, 0)
-    assert gate_t_cost(h, 1e-3, model) == (0.0, 0.0)
+    assert gate_t_cost(h, 1e-3) == (0.0, 0.0)
     z = Gate(GateKind.Z, 0, exponent=2.0)
-    count, depth = gate_t_cost(z, 1e-3, model)
+    count, depth = gate_t_cost(z, 1e-3)
     assert count == depth == pytest.approx(model.single_rotation(1e-3))
     b2 = Gate(GateKind.B, 2, exponent=1.0, controls=(Control(0), Control(1)))
-    count, depth = gate_t_cost(b2, 2e-4, model)
+    count, depth = gate_t_cost(b2, 2e-4)
     assert count == depth == pytest.approx(2.3 * math.log2(1e4) + 22.4, rel=1e-12)
 
 
 def test_gate_t_cost_domain():
     with pytest.raises(ParameterError):
         gate_t_cost(Gate(GateKind.A, 0, exponent=1.0), 1.0)
-
-
-def test_ceil_rounding_mode():
-    model = CostModel(rounding="ceil")
-    assert model.single_rotation(1e-3) == math.ceil(1.15 * math.log2(1000) + 9.2)
-    assert float(model.single_rotation(1e-3)).is_integer()
 
 
 def test_layered_t_depth_values():
@@ -77,10 +70,11 @@ def test_layered_t_depth_values():
 
 
 def test_fold_prelude_equivalence():
+    # adding the prelude depth to the first layer gives the same value
     n0, nks = 13.0, [7.0, 8.0, 9.0]
     ps = [0.9, 0.8, 0.7]
     direct = expected_t_depth(n0, list(zip(nks, ps)))
-    folded = expected_t_depth(0.0, list(zip(fold_prelude(n0, nks), ps)))
+    folded = expected_t_depth(0.0, list(zip([nks[0] + n0] + nks[1:], ps)))
     assert direct == pytest.approx(folded, rel=1e-14)
 
 

@@ -24,7 +24,6 @@ from gausskit.simulator import (
     ideal_gaussian,
     ideal_state,
     l2_error,
-    layer_success_probs,
     monte_carlo_rus,
     realize_noise,
     run_noisy,
@@ -372,12 +371,23 @@ def test_core_pipeline_capacity_boundary(monkeypatch):
         core_pipeline(lay)
 
 
+def test_layer_model_capacity_boundary(monkeypatch):
+    # predicted need: 1 + layers/2 complex states (the measured peak)
+    lay = layered_full_gaussian(9, 0.95)
+    need_mb = (1 << 8) * 16 * (1 + len(lay.layers) / 2) / 1e6
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+    GaussianLayerModel(lay)
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+    with pytest.raises(CapacityError):
+        GaussianLayerModel(lay)
+
+
 def test_layer_model_matches_sequential_probs():
     lay = layered_full_gaussian(8, 0.97)
     model = GaussianLayerModel(lay)
     identity = list(range(len(lay.layers)))
     np.testing.assert_allclose(model.probs(identity),
-                               layer_success_probs(lay), atol=1e-12)
+                               core_pipeline(lay)[1], atol=1e-12)
     # any reordering keeps the product (windows commute)
     rng = np.random.default_rng(2)
     perm = rng.permutation(len(lay.layers))
@@ -403,7 +413,7 @@ def test_monte_carlo_matches_formula_on_circuit():
     budget = ErrorBudget.two_to_one(1e-4)
     stats = monte_carlo_rus(lay, budget, 100000, seed=0)
     n0, nks = layered_t_depth(lay, budget)
-    et = expected_t_depth(n0, list(zip(nks, layer_success_probs(lay))))
+    et = expected_t_depth(n0, list(zip(nks, core_pipeline(lay)[1])))
     assert abs(stats.mean - et) <= 3 * stats.stderr
 
 
