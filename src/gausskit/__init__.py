@@ -7,7 +7,6 @@ from .builders import (
     build_full_gaussian,
     build_gaussian_2d,
     build_half_gaussian,
-    build_layered_gaussian,
     build_linear_phase,
     build_poly_phase,
     layered_full_gaussian,
@@ -40,23 +39,18 @@ from .resources import (
     estimate,
     gate_t_cost,
     layered_t_depth,
-    spec_from_threshold,
 )
 from .simulator import (
     CapacityError,
     RusStats,
     SimReport,
     StateVector,
-    apply_noisy_rotation,
     ideal_exponential,
     ideal_gaussian,
     ideal_gaussian_2d,
     ideal_half_gaussian,
     ideal_phase_state,
-    ideal_state,
     l2_error,
-    monte_carlo_rus,
-    run_noisy,
     simulate_exact,
     simulate_postselected,
 )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuit import Circuit, Element, Layer, LayeredCircuit, MeasureBarrier
 from .expansion import monomial_coefficients
-from .gates import Control, Gate, GateKind, GaussianSpec, ParameterError
+from .gates import Control, Gate, GateKind, ParameterError
 
 
 def _check_n(n: int, minimum: int) -> None:
@@ -125,7 +125,9 @@ def build_full_gaussian(n: int, alpha: float) -> Circuit:
                    elements=tuple(elements))
 
 
-def build_layered_gaussian(spec: GaussianSpec) -> LayeredCircuit:
+def layered_full_gaussian(n: int, alpha: float,
+                          rounds: list[list[tuple[int, int]]] | None = None
+                          ) -> LayeredCircuit:
     """Full Gaussian with ancilla reuse: pairs packed into disjoint rounds.
 
     The pair set over the n-1 core qubits is packed round-robin into
@@ -133,14 +135,6 @@ def build_layered_gaussian(spec: GaussianSpec) -> LayeredCircuit:
     gates, each on its own ancilla out of a pool of floor((n-1)/2),
     followed by a measurement barrier.
     """
-    if spec.mode != "full":
-        raise ParameterError("layered construction applies to full-Gaussian mode")
-    return layered_full_gaussian(spec.n_qubits, spec.derived_alpha)
-
-
-def layered_full_gaussian(n: int, alpha: float,
-                          rounds: list[list[tuple[int, int]]] | None = None
-                          ) -> LayeredCircuit:
     from .optimizer import pack_layers
 
     _check_n(n, 3)

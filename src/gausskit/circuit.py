@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gates import Gate, GateKind, ParameterError
+from .gates import Gate, GateKind, ParameterError, _check_alpha
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,19 @@ Element = Gate | MeasureBarrier
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates and barriers over one register, all sharing the base ``alpha``.
+
+    Construction rejects an alpha outside (0, 1), the range the textual
+    format accepts, so no builder can emit a circuit ``textio`` refuses.
+    """
+
     data_qubits: int
     ancilla_qubits: int
     alpha: float
     elements: tuple[Element, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_alpha(self.alpha)
 
     @property
     def total_qubits(self) -> int:

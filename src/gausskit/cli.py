@@ -48,29 +48,34 @@ def _ints(value: str, count: int, option: str) -> tuple[int, ...]:
     return ints
 
 
-# family -> (build(ns, alpha, d, q, layered), ideal(n, alpha, d, q, tail)):
-# d is the phase degree, q the 2-D quadratic form, tail the ideal's
-# normalization; ideal() is the target that simulate FILE --family compares to
+# family -> (build(ns, alpha, d, q, layered), ideal(ns, alpha, d, q, tail)):
+# ns are the register sizes (n_x, n_y for gaussian2d), d the phase degree,
+# q the 2-D quadratic form, tail the ideal's normalization; ideal() is the
+# target that simulate FILE --family compares to
 FAMILIES = {
     "phase": (
         lambda ns, a, d, q, layered: builders.build_poly_phase(ns[0], a, d),
-        lambda n, a, d, q, tail: simulator.ideal_phase_state(n, a, d)),
+        lambda ns, a, d, q, tail: simulator.ideal_phase_state(ns[0], a, d)),
     "exponential": (
         lambda ns, a, d, q, layered: builders.build_exponential(ns[0], a),
-        lambda n, a, d, q, tail: simulator.ideal_exponential(n, a)),
+        lambda ns, a, d, q, tail: simulator.ideal_exponential(ns[0], a)),
     "half-gaussian": (
         lambda ns, a, d, q, layered: builders.build_half_gaussian(ns[0], a),
-        lambda n, a, d, q, tail: simulator.ideal_half_gaussian(n, a, tail)),
+        lambda ns, a, d, q, tail: simulator.ideal_half_gaussian(ns[0], a, tail)),
     "gaussian": (
         lambda ns, a, d, q, layered: (
             builders.layered_full_gaussian(ns[0], a).to_circuit() if layered
             else builders.build_full_gaussian(ns[0], a)),
-        lambda n, a, d, q, tail: simulator.ideal_gaussian(n, a, tail)),
+        lambda ns, a, d, q, tail: simulator.ideal_gaussian(ns[0], a, tail)),
     "gaussian2d": (
         lambda ns, a, d, q, layered: builders.build_gaussian_2d(*ns, q, a),
-        lambda n, a, d, q, tail: simulator.ideal_gaussian_2d(
-            n - n // 2, n // 2, q, a)),
+        lambda ns, a, d, q, tail: simulator.ideal_gaussian_2d(*ns, q, a)),
 }
+
+
+def _registers(n_spec: str, family: str | None) -> tuple[int, ...]:
+    """Parse ``--n`` as the family's register sizes: n_x,n_y for gaussian2d."""
+    return _ints(n_spec, 2 if family == "gaussian2d" else 1, "--n")
 
 
 @click.group()
@@ -90,7 +95,7 @@ def main() -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
     """Build a circuit and write it in the textual format."""
-    ns = _ints(n_spec, 2 if family == "gaussian2d" else 1, "--n")
+    ns = _registers(n_spec, family)
     q = _ints(qform, 3, "--q")
     build, _ = FAMILIES[family]
     try:
@@ -114,7 +119,8 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--family", type=click.Choice(list(FAMILIES)), default=None,
               help="compare a circuit file against this target")
-@click.option("--n", "n_spec", default=None)
+@click.option("--n", "n_spec", default=None,
+              help="qubits; with a file, the family's register sizes")
 @click.option("--d", "degree", type=int, default=1)
 @click.option("--q", "qform", default="1,0,1")
 @click.option("--alpha", type=float, default=None)
@@ -131,7 +137,12 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
               help="append one CSV row here")
 def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
              alloc, order, tail, seed, out) -> None:
-    """Simulate a circuit file or a Gaussian spec and report the numbers."""
+    """Simulate a circuit file or a Gaussian spec and report the numbers.
+
+    A circuit file carries its own alpha and qubit count: ``--alpha`` may
+    only repeat the header's, ``--beta`` does not apply, and ``--n`` lists
+    the family's register sizes, which must sum to the file's ``data=``.
+    """
     q = _ints(qform, 3, "--q")
     if circuit_file is None:
         if n_spec is None:
@@ -141,16 +152,15 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     try:
         if circuit_file:
             circuit = textio.load(circuit_file)
-            state, rep = simulator.simulate_postselected(circuit)
             n_qubits = circuit.data_qubits
-            if alpha is None:
-                alpha = circuit.alpha
+            ns = _file_registers(circuit, n_spec, family, alpha, beta)
+            alpha = circuit.alpha
+            state, rep = simulator.simulate_postselected(circuit)
             eps = math.nan
             if family is not None:
                 _, ideal = FAMILIES[family]
-                eps = simulator.l2_error(
-                    ideal(n_qubits, circuit.alpha, degree, q, tail),
-                    state.amplitudes)
+                eps = simulator.l2_error(ideal(ns, alpha, degree, q, tail),
+                                         state.amplitudes)
             gamma = rep.subnormalization
             probs = rep.layer_probs
             et = (resources.circuit_t_depth(
@@ -158,12 +168,12 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
                 if delta > 0 else math.nan)
         elif delta == 0.0:
             # noiseless reference run: no budget, so no T-depth figure
-            spec = GaussianSpec(n_qubits=n_qubits, alpha=alpha, beta=beta)
-            alpha = spec.derived_alpha
-            layered = builders.layered_full_gaussian(n_qubits, alpha)
-            rep = simulator.run_noisy(
-                layered, optimizer.ErrorBudget.two_to_one(0.0), seed=seed)
-            eps = rep.l2_error
+            alpha = GaussianSpec(n_qubits=n_qubits, alpha=alpha,
+                                 beta=beta).derived_alpha
+            state, rep = simulator.simulate_postselected(
+                builders.layered_full_gaussian(n_qubits, alpha))
+            eps = simulator.l2_error(
+                simulator.ideal_gaussian(n_qubits, alpha), state.amplitudes)
             et = math.nan
             gamma = rep.subnormalization
             probs = rep.layer_probs
@@ -192,6 +202,28 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     if out:
         row = [n_qubits, alpha, delta, eps, gamma, et, len(probs), seed]
         _append_csv(out, [row])
+
+
+def _file_registers(circuit, n_spec, family, alpha, beta) -> tuple[int, ...]:
+    """Check the options a circuit file fixes; return the register sizes."""
+    if beta is not None:
+        raise click.BadParameter("a circuit file fixes alpha; give no --beta",
+                                 param_hint="--beta")
+    if alpha is not None and alpha != circuit.alpha:
+        raise click.BadParameter(
+            f"{alpha!r} differs from the file's alpha={circuit.alpha!r}",
+            param_hint="--alpha")
+    if n_spec is None:
+        if family == "gaussian2d":
+            raise click.UsageError(
+                "--family gaussian2d needs --n n_x,n_y for a circuit file")
+        return (circuit.data_qubits,)
+    ns = _registers(n_spec, family)
+    if sum(ns) != circuit.data_qubits:
+        raise click.BadParameter(
+            f"{n_spec!r} does not sum to the file's data={circuit.data_qubits}",
+            param_hint="--n")
+    return ns
 
 
 @main.command()

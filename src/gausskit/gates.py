@@ -146,17 +146,12 @@ class Control:
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element: a rotation or Clifford with optional controls.
-
-    ``synthesis_error`` is the per-gate accuracy budget used by the
-    resource model and the noisy simulator; None means "not yet assigned".
-    """
+    """One circuit element: a rotation or Clifford with optional controls."""
 
     kind: GateKind
     target: int
     exponent: float | None = None
     controls: tuple[Control, ...] = ()
-    synthesis_error: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind in ROTATION_KINDS:
@@ -254,7 +249,7 @@ def gate_matrix(gate: Gate, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Target-distribution parameters for the Gaussian builders.
+    """Target parameters of the full n-qubit Gaussian that ``estimate`` prices.
 
     Either ``alpha`` (discretization base) or ``beta`` (fixed-window form,
     amplitude-squared ratio between peak and edge) must be given; with
@@ -265,9 +260,7 @@ class GaussianSpec:
     n_qubits: int
     alpha: float | None = None
     gate_error: float = 1e-10
-    mode: str = "full"  # "half" | "full" | "2d"
     beta: float | None = None
-    covariance: tuple[int, int, int] | None = None  # (cxx, cxy, cyy)
     derived_alpha: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -275,8 +268,6 @@ class GaussianSpec:
             raise ParameterError("n_qubits must be at least 2")
         if not (0.0 < self.gate_error < 1.0):
             raise ParameterError("gate_error must lie in (0, 1)")
-        if self.mode not in ("half", "full", "2d"):
-            raise ParameterError(f"unknown mode {self.mode!r}")
         if self.beta is not None:
             if not (0.0 < self.beta < 1.0):
                 raise ParameterError("beta must lie in (0, 1)")
@@ -294,10 +285,6 @@ class GaussianSpec:
             object.__setattr__(self, "derived_alpha", self.alpha)
         else:
             raise ParameterError("one of alpha or beta is required")
-        if self.mode == "2d" and self.covariance is not None:
-            cxx, cxy, cyy = self.covariance
-            if cxx <= 0 or cyy <= 0:
-                raise ParameterError("quadratic form needs positive diagonal")
 
 
 def beta_for_stddevs(k: float) -> float:

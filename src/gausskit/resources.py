@@ -9,14 +9,16 @@ real-valued so figures remain comparable across budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import simulator
+from .builders import layered_full_gaussian
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
 from .gates import Gate, GateKind, GaussianSpec, ParameterError
 from .optimizer import (ErrorBudget, expected_t_depth, order_layers,
-                        prune_layered, qubit_threshold)
+                        prune_layered)
 
 TOFFOLI_PAIR_T = 4.0
 
@@ -136,36 +138,67 @@ class EstimateReport:
     seed: int
 
 
+@dataclass(frozen=True)
+class _PackedRun:
+    """One gate budget's pruned circuit, noise and packed-order success
+    probabilities: what ordering and the chosen-order run need."""
+
+    layered: LayeredCircuit
+    budget: ErrorBudget
+    noise: simulator.NoiseRealization
+    pruned_gates: int
+    probs: list[float]
+
+
 def estimate(spec: GaussianSpec, *, target_error: float | None = None,
-             seed: int = 0, order: str = "optimal", alloc: str = "2to1",
-             prune: bool = True) -> EstimateReport:
+             seed: int = 0, order: str = "optimal", alloc: str = "2to1"
+             ) -> EstimateReport:
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
+    Every gate budget runs one pipeline: build the layered circuit, prune
+    windows below the budget, draw noise from ``seed`` in gate order of the
+    pruned circuit, and simulate the core register in packed order.  The
+    packed-order probabilities pick the layer order, and one more
+    simulation in that order gives the reported error and probabilities.
+
     With ``target_error`` set, the gate budget is bisected to the largest
-    delta whose simulated error stays at or below the target.  Each
-    candidate redraws its noise from ``seed`` in gate order of its own
-    pruned circuit.  Pruning removes more gates as delta grows, so later
-    gates get different noise axes from one candidate to the next and the
-    error need not be monotone in delta; the search is deterministic under
-    the seed, not stable across pruning boundaries.  Keying each draw by
-    the gate's position in the unpruned circuit fixes this (ROADMAP.md,
-    open item 3).
+    delta whose packed-order error stays at or below the target, and the
+    accepted candidate's run is reused for ordering.  Pruning removes more
+    gates as delta grows, so later gates get different noise axes from one
+    candidate to the next and the error need not be monotone in delta; the
+    search is deterministic under the seed, not stable across pruning
+    boundaries.  Keying each draw by the gate's position in the unpruned
+    circuit fixes this (ROADMAP.md, open item 3).
     """
-    if spec.mode != "full":
-        raise ParameterError("resource estimation covers full-Gaussian mode")
-    delta = spec.gate_error
-    if target_error is not None:
-        delta = _search_delta(spec, target_error, seed, alloc, prune)
-        spec = dc_replace(spec, gate_error=delta)
-    return _estimate_fixed(spec, seed=seed, order=order, alloc=alloc,
-                           prune=prune)
+    alpha = spec.derived_alpha
+    ideal = simulator.ideal_core_half_shifted(spec.n_qubits - 1, alpha)
+    if target_error is None:
+        run = _packed_run(spec, spec.gate_error, seed, alloc)[0]
+    else:
+        run = _search_delta(spec, target_error, seed, alloc, ideal)
 
-
-def spec_from_threshold(alpha: float, gate_error: float,
-                        mode: str = "full") -> GaussianSpec:
-    """GaussianSpec sized by the qubit threshold for (alpha, gate_error)."""
-    n = qubit_threshold(alpha, gate_error)
-    return GaussianSpec(n_qubits=n, alpha=alpha, gate_error=gate_error, mode=mode)
+    n0, nks = layered_t_depth(run.layered, run.budget)
+    permutation = _pick_order(order, nks, run.probs, seed)
+    # the symmetrizing postlude is an isometry, so error and success
+    # probabilities are fully determined on the core register
+    state, probs = simulator.core_pipeline(run.layered, noise=run.noise,
+                                           order=permutation)
+    eps = simulator.l2_error(ideal, state)
+    et = expected_t_depth(n0, list(zip(nks, probs)))
+    gamma2 = float(np.prod(probs)) if probs else 1.0
+    return EstimateReport(
+        n_qubits=spec.n_qubits,
+        alpha=alpha,
+        beta=spec.beta,
+        delta=run.budget.delta_gate,
+        l2_error=eps,
+        subnormalization=math.sqrt(gamma2),
+        layer_probs=tuple(probs),
+        expected_t_depth=et,
+        ordering=permutation,
+        pruned_gates=run.pruned_gates,
+        seed=seed,
+    )
 
 
 def _budget(delta: float, alloc: str) -> ErrorBudget:
@@ -176,81 +209,39 @@ def _budget(delta: float, alloc: str) -> ErrorBudget:
     raise ParameterError(f"unknown allocation scheme {alloc!r}")
 
 
-def _noisy_core_error(spec: GaussianSpec, delta: float, seed: int,
-                      alloc: str, prune: bool) -> float:
-    """Simulated error at one candidate budget, on the core register only
-    (the symmetrizing postlude is an isometry, so the error is the same)."""
-    from . import simulator
-    from .builders import layered_full_gaussian
-
-    alpha = spec.derived_alpha
-    layered = layered_full_gaussian(spec.n_qubits, alpha)
+def _packed_run(spec: GaussianSpec, delta: float, seed: int, alloc: str
+                ) -> tuple[_PackedRun, np.ndarray]:
+    """The run at gate budget ``delta`` and its packed-order core state."""
     budget = _budget(delta, alloc)
-    if prune:
-        layered, _ = prune_layered(layered, budget)
+    layered, prune_info = prune_layered(
+        layered_full_gaussian(spec.n_qubits, spec.derived_alpha), budget)
     rng = np.random.default_rng(seed)
     noise = simulator.realize_noise(layered.to_circuit().gates(), budget, rng)
-    state, _ = simulator.core_pipeline(layered, noise=noise)
-    ideal = simulator.ideal_core_half_shifted(spec.n_qubits - 1, alpha)
-    return simulator.l2_error(ideal, state)
+    state, probs = simulator.core_pipeline(layered, noise=noise)
+    return _PackedRun(layered, budget, noise, prune_info.total, probs), state
 
 
 def _search_delta(spec: GaussianSpec, target_error: float, seed: int,
-                  alloc: str, prune: bool) -> float:
+                  alloc: str, ideal: np.ndarray) -> _PackedRun:
+    """The run at the largest bisected delta meeting ``target_error``."""
+    def meets_target(delta: float) -> tuple[_PackedRun, bool]:
+        # the core state is dropped on return, before the next candidate
+        run, state = _packed_run(spec, delta, seed, alloc)
+        return run, simulator.l2_error(ideal, state) <= target_error
+
     lo, hi = -15.0, math.log10(0.05)
-    if _noisy_core_error(spec, 10.0 ** lo, seed, alloc, prune) > target_error:
+    accepted, ok = meets_target(10.0 ** lo)
+    if not ok:
         raise ParameterError(
             f"target error {target_error} unreachable even at delta=1e-15")
     for _ in range(14):
         mid = 0.5 * (lo + hi)
-        if _noisy_core_error(spec, 10.0 ** mid, seed, alloc, prune) <= target_error:
-            lo = mid
+        run, ok = meets_target(10.0 ** mid)
+        if ok:
+            lo, accepted = mid, run
         else:
             hi = mid
-    return 10.0 ** lo
-
-
-def _estimate_fixed(spec: GaussianSpec, *, seed: int, order: str, alloc: str,
-                    prune: bool) -> EstimateReport:
-    from . import simulator
-    from .builders import layered_full_gaussian
-
-    alpha = spec.derived_alpha
-    delta = spec.gate_error
-    budget = _budget(delta, alloc)
-    layered = layered_full_gaussian(spec.n_qubits, alpha)
-    pruned_gates = 0
-    if prune:
-        layered, prune_info = prune_layered(layered, budget)
-        pruned_gates = prune_info.total
-    rng = np.random.default_rng(seed)
-    noise = simulator.realize_noise(layered.to_circuit().gates(), budget, rng)
-
-    n0, nks = layered_t_depth(layered, budget)
-    _, probs_packed = simulator.core_pipeline(layered, noise=noise)
-    permutation = _pick_order(order, nks, probs_packed, seed)
-
-    # the symmetrizing postlude is an isometry, so error and success
-    # probabilities are fully determined on the core register
-    state, probs = simulator.core_pipeline(layered, noise=noise,
-                                           order=permutation)
-    ideal = simulator.ideal_core_half_shifted(spec.n_qubits - 1, alpha)
-    eps = simulator.l2_error(ideal, state)
-    et = expected_t_depth(n0, list(zip(nks, probs)))
-    gamma2 = float(np.prod(probs)) if probs else 1.0
-    return EstimateReport(
-        n_qubits=spec.n_qubits,
-        alpha=alpha,
-        beta=spec.beta,
-        delta=delta,
-        l2_error=eps,
-        subnormalization=math.sqrt(gamma2),
-        layer_probs=tuple(probs),
-        expected_t_depth=et,
-        ordering=permutation,
-        pruned_gates=pruned_gates,
-        seed=seed,
-    )
+    return accepted
 
 
 def _pick_order(order: str, nks: list[float], probs: list[float],

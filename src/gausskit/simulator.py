@@ -13,6 +13,13 @@ Two backends share one contract:
 
 Both record one success probability per barrier; their product is the
 squared subnormalization of the preparation.
+
+Noise is a ``NoiseRealization`` from ``realize_noise``: one random target
+perturbation per rotation gate, which every backend applies the same way.
+The module only runs circuits.  The end-to-end pipeline (build, prune,
+draw noise, simulate, order, price) is ``resources.estimate``, and
+``simulate_rus_process`` samples the repeat-until-success restart process
+for given per-layer success probabilities.
 """
 from __future__ import annotations
 
@@ -22,11 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import resources
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
-from .gates import (Gate, GateKind, GaussianSpec, ParameterError,
-                    gate_matrix, rotation_kernel)
-from .optimizer import ErrorBudget, expected_t_depth
+from .gates import Gate, GateKind, ParameterError, gate_matrix, rotation_kernel
+from .optimizer import ErrorBudget
 
 MAX_QUBITS = 26
 
@@ -62,9 +67,6 @@ class StateVector:
 class SimReport:
     subnormalization: float
     layer_probs: tuple[float, ...]
-    data_qubit_count: int
-    l2_error: float | None = None
-    expected_t_depth: float | None = None
 
 
 NoiseRealization = dict[Gate, np.ndarray]
@@ -91,16 +93,6 @@ def sample_perturbation(delta: float, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def apply_noisy_rotation(gate: Gate, delta: float, rng: np.random.Generator,
-                         alpha: float) -> np.ndarray:
-    """The gate's full matrix left-multiplied by a random target perturbation."""
-    ideal = gate_matrix(gate, alpha)
-    if delta == 0.0:
-        return ideal
-    p = sample_perturbation(delta, rng)
-    return _embed_target_perturbation(p, len(gate.controls)) @ ideal
-
-
 def _embed_target_perturbation(p: np.ndarray, n_controls: int) -> np.ndarray:
     """Lift a 2x2 target perturbation to the gate's full space (target = MSB)."""
     return np.kron(p, np.eye(1 << n_controls, dtype=complex))
@@ -109,8 +101,6 @@ def _embed_target_perturbation(p: np.ndarray, n_controls: int) -> np.ndarray:
 def _noise_delta(gate: Gate, budget: ErrorBudget) -> float:
     if gate.kind in (GateKind.H, GateKind.X, GateKind.CNOT):
         return 0.0
-    if gate.synthesis_error is not None:
-        return gate.synthesis_error
     return budget.delta_single if not gate.controls else budget.delta_controlled
 
 
@@ -221,7 +211,7 @@ def simulate_exact(circuit: Circuit,
     gamma2 = float(np.prod(probs)) if probs else 1.0
     sv = StateVector(n_qubits=n_data, amplitudes=state)
     report = SimReport(subnormalization=math.sqrt(gamma2),
-                       layer_probs=tuple(probs), data_qubit_count=n_data)
+                       layer_probs=tuple(probs))
     return sv, report
 
 
@@ -303,7 +293,7 @@ def simulate_postselected(circuit: Circuit | LayeredCircuit,
     gamma2 = float(np.prod(probs)) if probs else 1.0
     sv = StateVector(n_qubits=n, amplitudes=state)
     report = SimReport(subnormalization=math.sqrt(gamma2),
-                       layer_probs=tuple(probs), data_qubit_count=n)
+                       layer_probs=tuple(probs))
     return sv, report
 
 
@@ -393,21 +383,6 @@ def ideal_core_half_shifted(core: int, alpha: float) -> np.ndarray:
     """Normalized alpha**((y+1/2)**2): the full Gaussian before symmetrization."""
     y = np.arange(1 << core, dtype=float)
     return _normalized(np.exp(math.log(alpha) * (y + 0.5) ** 2))
-
-
-def ideal_state(spec: GaussianSpec, tail: str = "finite") -> StateVector:
-    alpha = spec.derived_alpha
-    if spec.mode == "full":
-        amps = ideal_gaussian(spec.n_qubits, alpha, tail=tail)
-    elif spec.mode == "half":
-        amps = ideal_half_gaussian(spec.n_qubits, alpha, tail=tail)
-    elif spec.mode == "2d":
-        half = spec.n_qubits // 2
-        q = spec.covariance if spec.covariance is not None else (1, 0, 1)
-        amps = ideal_gaussian_2d(spec.n_qubits - half, half, q, alpha)
-    else:
-        raise ParameterError(f"no ideal state for mode {spec.mode!r}")
-    return StateVector(n_qubits=spec.n_qubits, amplitudes=amps)
 
 
 # ---------------------------------------------------------------------------
@@ -509,33 +484,6 @@ class GaussianLayerModel:
         return out
 
 
-def run_noisy(layered: LayeredCircuit, budget: ErrorBudget,
-              seed: int | None = 0) -> SimReport:
-    """Simulate with randomly perturbed rotations and assemble the report.
-
-    A rotations are perturbed at the single budget, controlled B rotations
-    at the controlled budget; Cliffords stay exact.  The report's error is
-    measured against the finite-window closed form.
-    """
-    rng = np.random.default_rng(seed)
-    flat = layered.to_circuit()
-    noise = realize_noise(flat.gates(), budget, rng)
-    state, rep = simulate_postselected(flat, noise=noise)
-    ideal = ideal_gaussian(layered.data_qubits, layered.alpha)
-    eps = l2_error(ideal, state.amplitudes)
-    et = None
-    if budget.delta_single > 0.0 and budget.delta_controlled > 0.0:
-        n0, nks = resources.layered_t_depth(layered, budget)
-        et = expected_t_depth(n0, list(zip(nks, rep.layer_probs)))
-    return SimReport(
-        subnormalization=rep.subnormalization,
-        layer_probs=rep.layer_probs,
-        data_qubit_count=layered.data_qubits,
-        l2_error=eps,
-        expected_t_depth=et,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Repeat-until-success Monte Carlo
 
@@ -553,17 +501,6 @@ class RusStats:
     @property
     def stderr(self) -> float:
         return float(self.samples.std(ddof=1) / math.sqrt(len(self.samples)))
-
-
-def monte_carlo_rus(layered: LayeredCircuit, budget: ErrorBudget,
-                    trials: int, seed: int | None = 0) -> RusStats:
-    """Sample the restart process: every attempt pays the prelude depth and
-    each layer reached; a failed barrier restarts from scratch."""
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    n0, nks = resources.layered_t_depth(layered, budget)
-    ps = np.asarray(core_pipeline(layered)[1])
-    return simulate_rus_process(n0, nks, ps, trials, seed)
 
 
 def simulate_rus_process(n0: float, nks, ps, trials: int,

@@ -10,11 +10,10 @@ from gausskit.builders import (
     build_half_gaussian,
     build_linear_phase,
     build_poly_phase,
-    build_layered_gaussian,
     layered_full_gaussian,
     merged_a_exponent,
 )
-from gausskit.gates import Gate, GateKind, GaussianSpec, ParameterError
+from gausskit.gates import Gate, GateKind, ParameterError
 from gausskit.circuit import MeasureBarrier
 from gausskit.simulator import l2_error, simulate_exact, simulate_postselected
 
@@ -190,14 +189,6 @@ def test_layered_matches_flat():
         sv_lay, _ = simulate_postselected(layered_full_gaussian(n, alpha))
         sv_flat, _ = simulate_postselected(build_full_gaussian(n, alpha))
         assert l2_error(sv_lay.amplitudes, sv_flat.amplitudes) < 1e-12
-
-
-def test_layered_gaussian_from_spec():
-    spec = GaussianSpec(n_qubits=5, alpha=0.9, mode="full")
-    lay = build_layered_gaussian(spec)
-    assert lay.data_qubits == 5
-    with pytest.raises(ParameterError):
-        build_layered_gaussian(GaussianSpec(n_qubits=5, alpha=0.9, mode="half"))
 
 
 def test_gaussian_2d_no_cross_gates_for_diagonal_form():

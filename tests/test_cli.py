@@ -1,5 +1,7 @@
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -134,6 +136,68 @@ def test_generated_file_matches_family_target(runner, tmp_path, family, extra):
     assert result.exit_code == 0
     eps_line = [l for l in result.output.splitlines() if "epsilon" in l][0]
     assert float(eps_line.split()[-1]) <= 1e-10
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_generate_rejects_alpha_outside_unit_interval(runner, family):
+    args = list(FAMILY_ARGS[family])
+    args[args.index("--alpha") + 1] = "1.5"
+    result = runner.invoke(main, ["generate", "--family", family, *args])
+    assert result.exit_code == 2
+    assert "alpha must lie in (0, 1)" in result.output
+
+
+@pytest.mark.parametrize("split", ["2,3", "3,2"])
+def test_gaussian2d_file_takes_its_split_from_n(runner, tmp_path, split):
+    path = tmp_path / "g2d.txt"
+    args = ["--n", split, "--q", "2,1,1", "--alpha", "0.9"]
+    gen = runner.invoke(main, ["generate", "--family", "gaussian2d", *args,
+                               "--out", str(path)])
+    assert gen.exit_code == 0
+    result = runner.invoke(main, ["simulate", str(path), "--family",
+                                  "gaussian2d", *args])
+    assert result.exit_code == 0
+    eps_line = [l for l in result.output.splitlines() if "epsilon" in l][0]
+    assert float(eps_line.split()[-1]) <= 1e-10
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "gaussian2d"],
+    ["--family", "gaussian2d", "--n", "3,3"],
+    ["--n", "7"],
+    ["--alpha", "0.5"],
+    ["--beta", "0.1"],
+], ids=["2d-no-split", "2d-wrong-sum", "n-wrong-sum", "alpha-mismatch",
+        "beta"])
+def test_simulate_file_rejects_options_the_file_fixes(runner, tmp_path, args):
+    # a 5-qubit file with header alpha 0.9
+    path = tmp_path / "g2d.txt"
+    runner.invoke(main, ["generate", "--family", "gaussian2d", "--n", "2,3",
+                         "--q", "2,1,1", "--alpha", "0.9", "--out", str(path)])
+    row = tmp_path / "row.csv"
+    result = runner.invoke(main, ["simulate", str(path), "--q", "2,1,1",
+                                  *args, "--out", str(row)])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert not row.exists()
+
+
+def test_readme_cli_examples_run(runner, tmp_path, monkeypatch):
+    # every `gausskit ...` line of README's CLI block, in order
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(l)[1:] for l in lines if l.startswith("gausskit ")]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+        if (args[0] == "simulate" and not args[1].startswith("-")
+                and "--family" in args):
+            eps_line = [l for l in result.output.splitlines()
+                        if "epsilon" in l][0]
+            assert float(eps_line.split()[-1]) <= 1e-10, args
 
 
 def test_simulate_capacity_exit_4(runner, tmp_path, monkeypatch):

@@ -1,18 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gausskit import simulator
 from gausskit.builders import build_poly_phase, layered_full_gaussian
 from gausskit.gates import Control, Gate, GateKind, GaussianSpec, ParameterError
-from gausskit.optimizer import ErrorBudget, expected_t_depth
+from gausskit.optimizer import ErrorBudget, expected_t_depth, qubit_threshold
 from gausskit.resources import (
     CostModel,
     circuit_t_depth,
     estimate,
     gate_t_cost,
     layered_t_depth,
-    spec_from_threshold,
 )
 
 
@@ -106,8 +107,7 @@ def test_estimate_small_point_deterministic():
 
 
 def test_estimate_threshold_selects_qubits():
-    spec = spec_from_threshold(1 - 1e-10, 1e-10)
-    assert spec.n_qubits == 19
+    assert qubit_threshold(1 - 1e-10, 1e-10) == 19
 
 
 def test_estimate_orders_by_packed_probability():
@@ -138,9 +138,39 @@ def test_estimate_target_error_search():
     assert rep.delta < 1e-3
 
 
-def test_estimate_rejects_non_full_mode():
-    with pytest.raises(ParameterError):
-        estimate(GaussianSpec(n_qubits=6, alpha=0.9, mode="half"))
+@pytest.mark.parametrize("order, alloc", [("optimal", "2to1"),
+                                          ("random", "uniform")])
+def test_estimate_search_equals_fixed_delta_run(order, alloc):
+    # the search hands its accepted run to ordering; a fresh fixed-delta
+    # estimate at the accepted delta must give the same report (the last
+    # bisection candidate here misses the target, so it is not the one)
+    spec = GaussianSpec(n_qubits=9, alpha=1 - 1e-5)
+    rep = estimate(spec, target_error=3e-5, seed=3, order=order, alloc=alloc)
+    assert rep.l2_error <= 3e-5
+    fixed = estimate(dataclasses.replace(spec, gate_error=rep.delta), seed=3,
+                     order=order, alloc=alloc)
+    assert rep == fixed
+
+
+def test_estimate_core_simulation_count(monkeypatch):
+    # 15 bisection candidates plus the chosen-order run; a fixed delta
+    # simulates in packed order, then in the chosen order
+    calls = []
+    core_pipeline = simulator.core_pipeline
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("order"))
+        return core_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "core_pipeline", counting)
+    spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-5)
+    estimate(spec, target_error=1e-5, seed=2)
+    assert len(calls) == 16
+    assert calls[:15] == [None] * 15 and calls[15] is not None
+    calls.clear()
+    estimate(spec, seed=2)
+    assert len(calls) == 2
+    assert calls[0] is None and calls[1] is not None
 
 
 def test_estimate_core_error_equals_full_register_error():

@@ -19,14 +19,10 @@ from gausskit.optimizer import ErrorBudget, pack_layers, prune_layered
 from gausskit.simulator import (
     CapacityError,
     GaussianLayerModel,
-    apply_noisy_rotation,
     core_pipeline,
     ideal_gaussian,
-    ideal_state,
     l2_error,
-    monte_carlo_rus,
     realize_noise,
-    run_noisy,
     sample_perturbation,
     simulate_exact,
     simulate_postselected,
@@ -149,14 +145,6 @@ def test_layered_22q_exceeds_exact_backend(monkeypatch):
         simulate_exact(lay.to_circuit())
 
 
-def test_per_gate_synthesis_error_overrides_budget():
-    gate = Gate(GateKind.A, 0, exponent=1.0, synthesis_error=1e-2)
-    budget = ErrorBudget.two_to_one(1e-6)
-    noise = realize_noise([gate], budget, np.random.default_rng(0))
-    dist = np.linalg.norm(noise[gate] - np.eye(2), ord=2)
-    assert dist == pytest.approx(1e-2, rel=1e-9)
-
-
 def test_l2_error_trivial_cases():
     a = np.array([1.0, 0.0])
     assert l2_error(a, a) == 0.0
@@ -194,35 +182,23 @@ def test_perturbation_norm_pinned():
         assert dist == pytest.approx(delta, rel=1e-10)
 
 
-def test_apply_noisy_rotation_distance():
-    gate = Gate(GateKind.B, 2, exponent=3.0, controls=(Control(0), Control(1)))
-    from gausskit.gates import gate_matrix
-
-    ideal = gate_matrix(gate, 0.9)
-    for delta in (1e-2, 1e-4):
-        noisy = apply_noisy_rotation(gate, delta, np.random.default_rng(1), 0.9)
-        assert np.linalg.norm(noisy - ideal, ord=2) == pytest.approx(
-            delta, rel=1e-9)
-        np.testing.assert_allclose(noisy @ noisy.conj().T, np.eye(8), atol=1e-13)
-
-
-def test_apply_noisy_rotation_zero_delta():
-    gate = Gate(GateKind.A, 0, exponent=1.0)
-    from gausskit.gates import gate_matrix
-
-    np.testing.assert_array_equal(
-        apply_noisy_rotation(gate, 0.0, np.random.default_rng(0), 0.7),
-        gate_matrix(gate, 0.7))
+def _noisy_error(lay, budget, seed):
+    """(error against the closed form, report) of one noisy flat run."""
+    noise = realize_noise(lay.to_circuit().gates(), budget,
+                          np.random.default_rng(seed))
+    state, rep = simulate_postselected(lay, noise=noise)
+    eps = l2_error(ideal_gaussian(lay.data_qubits, lay.alpha), state.amplitudes)
+    return eps, rep
 
 
 def test_noise_determinism_bit_identical():
     lay = layered_full_gaussian(8, 0.98)
     budget = ErrorBudget.two_to_one(1e-5)
-    r1 = run_noisy(lay, budget, seed=33)
-    r2 = run_noisy(lay, budget, seed=33)
+    r1 = _noisy_error(lay, budget, seed=33)
+    r2 = _noisy_error(lay, budget, seed=33)
     assert r1 == r2
-    r3 = run_noisy(lay, budget, seed=34)
-    assert r3.l2_error != r1.l2_error
+    r3 = _noisy_error(lay, budget, seed=34)
+    assert r3[0] != r1[0]
 
 
 def test_noisy_backends_agree():
@@ -239,16 +215,18 @@ def test_noisy_backends_agree():
 
 def test_run_noisy_zero_budget_reproduces_ideal():
     lay = layered_full_gaussian(9, 0.99)
-    rep = run_noisy(lay, ErrorBudget.two_to_one(0.0), seed=0)
-    assert rep.l2_error <= 1e-10
-    assert rep.expected_t_depth is None
+    budget = ErrorBudget.two_to_one(0.0)
+    assert realize_noise(lay.to_circuit().gates(), budget,
+                         np.random.default_rng(0)) == {}
+    eps, _ = _noisy_error(lay, budget, seed=0)
+    assert eps <= 1e-10
 
 
 def test_run_noisy_error_scales_with_delta():
     lay = layered_full_gaussian(8, 0.99)
-    r4 = run_noisy(lay, ErrorBudget.two_to_one(1e-4), seed=5)
-    r6 = run_noisy(lay, ErrorBudget.two_to_one(1e-6), seed=5)
-    assert r4.l2_error > 10 * r6.l2_error  # roughly linear in delta
+    e4, _ = _noisy_error(lay, ErrorBudget.two_to_one(1e-4), seed=5)
+    e6, _ = _noisy_error(lay, ErrorBudget.two_to_one(1e-6), seed=5)
+    assert e4 > 10 * e6  # roughly linear in delta
 
 
 def test_ideal_gaussian_num_and_symmetry():
@@ -276,12 +254,12 @@ def test_ideal_infinite_tail_larger_error():
 
 def test_ideal_state_beta_mode():
     spec = GaussianSpec(n_qubits=5, beta=1e-6)
-    sv = ideal_state(spec)
+    amps = ideal_gaussian(5, spec.derived_alpha)
     # beta-window form: beta**((x/(N-1) - 1/2)**2)
     x = np.arange(32, dtype=float)
     brute = 1e-6 ** ((x / 31 - 0.5) ** 2)
     brute /= np.linalg.norm(brute)
-    np.testing.assert_allclose(sv.amplitudes, brute, atol=1e-12)
+    np.testing.assert_allclose(amps, brute, atol=1e-12)
 
 
 def test_core_pipeline_matches_full_simulation():
@@ -411,9 +389,10 @@ def test_monte_carlo_matches_formula_on_circuit():
 
     lay = layered_full_gaussian(6, 0.9)
     budget = ErrorBudget.two_to_one(1e-4)
-    stats = monte_carlo_rus(lay, budget, 100000, seed=0)
     n0, nks = layered_t_depth(lay, budget)
-    et = expected_t_depth(n0, list(zip(nks, core_pipeline(lay)[1])))
+    ps = core_pipeline(lay)[1]
+    stats = simulate_rus_process(n0, nks, ps, 100000, seed=0)
+    et = expected_t_depth(n0, list(zip(nks, ps)))
     assert abs(stats.mean - et) <= 3 * stats.stderr
 
 
