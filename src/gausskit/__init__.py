@@ -7,7 +7,6 @@ from .builders import (
     build_full_gaussian,
     build_gaussian_2d,
     build_half_gaussian,
-    build_linear_phase,
     build_poly_phase,
     layered_full_gaussian,
 )
@@ -18,8 +17,6 @@ from .gates import (
     GateKind,
     GaussianSpec,
     ParameterError,
-    beta_for_stddevs,
-    stddevs_for_beta,
 )
 from .optimizer import (
     ErrorBudget,
@@ -28,7 +25,6 @@ from .optimizer import (
     expected_t_depth,
     order_layers,
     pack_layers,
-    prunable_control_depth,
     prune_circuit,
     prune_layered,
     qubit_threshold,

@@ -22,11 +22,6 @@ def _check_n(n: int, minimum: int) -> None:
         raise ParameterError(f"need at least {minimum} qubits, got {n}")
 
 
-def build_linear_phase(n: int, alpha: float) -> Circuit:
-    """Hadamards then Z(j) on qubit j: prepares (1/sqrt(N)) sum exp(i*alpha*x)|x>."""
-    return build_poly_phase(n, alpha, 1)
-
-
 def build_poly_phase(n: int, alpha: float, d: int) -> Circuit:
     """Phase state exp(i*alpha*x**d): one Z rotation per expansion term.
 

@@ -126,13 +126,16 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
 @click.option("--alpha", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--delta", type=float, default=0.0, help="per-gate noise budget")
-@click.option("--alloc", type=click.Choice(["uniform", "2to1"]), default="2to1")
+@click.option("--alloc", type=click.Choice(["uniform", "2to1"]), default=None,
+              help="budget split  [default: 2to1; needs --delta]")
 @click.option("--order", type=click.Choice(["optimal", "random", "identity"]),
-              default="optimal")
+              default=None,
+              help="layer order  [default: optimal; needs --delta, no file]")
 @click.option("--ideal", "tail", type=click.Choice(["finite", "infinite"]),
               default="finite",
               help="reference convention for circuit-file comparisons")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=int, default=None,
+              help="noise seed  [default: 0; needs --delta]")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="append one CSV row here")
 def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
@@ -142,8 +145,16 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     A circuit file carries its own alpha and qubit count: ``--alpha`` may
     only repeat the header's, ``--beta`` does not apply, and ``--n`` lists
     the family's register sizes, which must sum to the file's ``data=``.
+    ``--delta`` draws gate noise from ``--seed``; a run without it is
+    noiseless and takes no ``--alloc``, ``--order`` or ``--seed``, and a
+    file fixes its own layer order, so it takes no ``--order``.
     """
     q = _ints(qform, 3, "--q")
+    _check_used(circuit_file is not None, delta != 0.0,
+                {"--alloc": alloc, "--order": order, "--seed": seed})
+    alloc = alloc or "2to1"
+    order = order or "optimal"
+    seed = 0 if seed is None else seed
     if circuit_file is None:
         if n_spec is None:
             raise click.UsageError(
@@ -155,7 +166,13 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
             n_qubits = circuit.data_qubits
             ns = _file_registers(circuit, n_spec, family, alpha, beta)
             alpha = circuit.alpha
-            state, rep = simulator.simulate_postselected(circuit)
+            noise, et = None, math.nan
+            if delta != 0.0:
+                budget = resources._budget(delta, alloc)
+                noise = simulator.realize_noise(
+                    circuit.gates(), budget, np.random.default_rng(seed))
+                et = resources.circuit_t_depth(circuit, budget)
+            state, rep = simulator.simulate_postselected(circuit, noise=noise)
             eps = math.nan
             if family is not None:
                 _, ideal = FAMILIES[family]
@@ -163,9 +180,6 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
                                          state.amplitudes)
             gamma = rep.subnormalization
             probs = rep.layer_probs
-            et = (resources.circuit_t_depth(
-                circuit, resources._budget(delta, alloc))
-                if delta > 0 else math.nan)
         elif delta == 0.0:
             # noiseless reference run: no budget, so no T-depth figure
             alpha = GaussianSpec(n_qubits=n_qubits, alpha=alpha,
@@ -202,6 +216,20 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     if out:
         row = [n_qubits, alpha, delta, eps, gamma, et, len(probs), seed]
         _append_csv(out, [row])
+
+
+def _check_used(has_file: bool, noisy: bool, given: dict) -> None:
+    """Reject an option that the chosen ``simulate`` branch would ignore."""
+    for option, value in given.items():
+        if value is None:
+            continue
+        if not noisy:
+            raise click.BadParameter("has no effect without --delta",
+                                     param_hint=option)
+        if has_file and option == "--order":
+            raise click.BadParameter(
+                "has no effect on a circuit file, which fixes its layer order",
+                param_hint=option)
 
 
 def _file_registers(circuit, n_spec, family, alpha, beta) -> tuple[int, ...]:

@@ -85,26 +85,6 @@ def z_matrix(alpha: float, m: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * alpha * 2.0 ** m)]], dtype=complex)
 
 
-def controlled_b_matrix(alpha: float, m: float) -> np.ndarray:
-    """4x4 controlled-B with target on the first (most significant) qubit.
-
-    Basis order is |target control>: 00, 01, 10, 11.  Post-selecting the
-    target on |0> leaves a diagonal factor of alpha**(2**m) on the
-    control's |1> subspace.
-    """
-    a = alpha_power(alpha, m)
-    s = math.sqrt(max(0.0, 1.0 - a * a))
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, a, 0.0, -s],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, s, 0.0, a],
-        ],
-        dtype=complex,
-    )
-
-
 def rotation_kernel(kind: GateKind, exponent: float | None, alpha: float) -> np.ndarray:
     """The 2x2 matrix of a single-qubit gate kind (controls excluded)."""
     if kind is GateKind.A:
@@ -211,8 +191,8 @@ def format_exponent(m: float) -> str:
 def gate_matrix(gate: Gate, alpha: float) -> np.ndarray:
     """Full unitary of ``gate`` on (target, controls...) with target as MSB.
 
-    Qubit order within the matrix is ``gate.qubits``; the single-controlled
-    B reproduces the 4x4 controlled-B layout exactly.
+    Qubit order within the matrix is ``gate.qubits``: a single-controlled
+    B in basis |target control> acts as B on the control's |1> block.
     """
     kernel = rotation_kernel(gate.kind, gate.exponent, alpha)
     n = 1 + len(gate.controls)
@@ -286,14 +266,3 @@ class GaussianSpec:
         else:
             raise ParameterError("one of alpha or beta is required")
 
-
-def beta_for_stddevs(k: float) -> float:
-    """Window parameter capturing ``k`` standard deviations: beta = exp(-k**2)."""
-    return math.exp(-k * k)
-
-
-def stddevs_for_beta(beta: float) -> float:
-    """Inverse of beta_for_stddevs."""
-    if not (0.0 < beta < 1.0):
-        raise ParameterError("beta must lie in (0, 1)")
-    return math.sqrt(-math.log(beta))

@@ -89,24 +89,6 @@ def _threshold_direct(log_alpha: float, delta: float) -> int:
             raise ThresholdRangeError("threshold exceeds 64 qubits")
 
 
-def prunable_control_depth(alpha: float, delta: float, n: int) -> int:
-    """How many bottom qubits' controlled rotations are delta-close to identity.
-
-    Largest k >= 0 with 1 - alpha**(2**(k+n-1)) < delta, found by direct
-    scan of the condition (the inequality is monotone in k).
-    """
-    if not (0.0 < alpha < 1.0) or not (0.0 < delta < 1.0):
-        raise ParameterError("alpha and delta must lie in (0, 1)")
-    log_alpha = math.log(alpha)
-    k = 0
-    while k + n <= 64:
-        deviation = 1.0 - math.exp(log_alpha * 2.0 ** (k + n))
-        if deviation >= delta:
-            break
-        k += 1
-    return k
-
-
 @dataclass(frozen=True)
 class PruneResult:
     removed_b_gates: int
@@ -232,7 +214,6 @@ def expected_t_depth(n0: float, layers: list[tuple[float, float]]) -> float:
 class OrderingPlan:
     permutation: tuple[int, ...]
     predicted_expected_t_depth: float
-    per_layer: tuple[tuple[float, float], ...]
 
 
 def order_layers(layers: list[tuple[float, float]]) -> OrderingPlan:
@@ -261,11 +242,10 @@ def order_layers(layers: list[tuple[float, float]]) -> OrderingPlan:
             return n_k / (1.0 - p_k) if p_k < 1.0 else math.inf
 
         perm = tuple(sorted(idx, key=lambda i: (ratio(i), i)))
-    ordered = tuple(layers[i] for i in perm)
     return OrderingPlan(
         permutation=tuple(perm),
-        predicted_expected_t_depth=expected_t_depth(0.0, list(ordered)),
-        per_layer=ordered,
+        predicted_expected_t_depth=expected_t_depth(
+            0.0, [layers[i] for i in perm]),
     )
 
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import simulator
 from .builders import layered_full_gaussian
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
-from .gates import Gate, GateKind, GaussianSpec, ParameterError
+from .gates import (CLIFFORD_KINDS, ROTATION_KINDS, Gate, GaussianSpec,
+                    ParameterError)
 from .optimizer import (ErrorBudget, expected_t_depth, order_layers,
                         prune_layered)
 
@@ -54,7 +55,7 @@ def gate_t_cost(gate: Gate, epsilon: float) -> tuple[float, float]:
     its full T-count: the resource pipeline charges each measurement round
     2.3*log2(1/eps) + 24.7, the Toffoli pair included.
     """
-    if gate.kind in (GateKind.H, GateKind.X, GateKind.CNOT):
+    if gate.kind in CLIFFORD_KINDS:
         return (0.0, 0.0)
     n_ctl = len(gate.controls)
     if n_ctl == 0:
@@ -70,8 +71,7 @@ def gate_t_cost(gate: Gate, epsilon: float) -> tuple[float, float]:
 
 
 def _has_rotation(circuit: Circuit) -> bool:
-    return any(g.kind in (GateKind.A, GateKind.B, GateKind.Z)
-               for g in circuit.gates())
+    return any(g.kind in ROTATION_KINDS for g in circuit.gates())
 
 
 def layered_t_depth(layered: LayeredCircuit, budget: ErrorBudget
@@ -108,7 +108,7 @@ def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:
         if isinstance(elem, MeasureBarrier):
             flush()
             continue
-        if elem.kind in (GateKind.H, GateKind.X, GateKind.CNOT):
+        if elem.kind in CLIFFORD_KINDS:
             continue
         eps = (budget.delta_single if not elem.controls
                else budget.delta_controlled)
@@ -140,14 +140,14 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class _PackedRun:
-    """One gate budget's pruned circuit, noise and packed-order success
-    probabilities: what ordering and the chosen-order run need."""
+    """One gate budget's pruned circuit, its core-register model and the
+    error of the model's state: what ordering and pricing need."""
 
     layered: LayeredCircuit
     budget: ErrorBudget
-    noise: simulator.NoiseRealization
+    model: simulator.GaussianLayerModel
     pruned_gates: int
-    probs: list[float]
+    eps: float
 
 
 def estimate(spec: GaussianSpec, *, target_error: float | None = None,
@@ -157,33 +157,32 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
 
     Every gate budget runs one pipeline: build the layered circuit, prune
     windows below the budget, draw noise from ``seed`` in gate order of the
-    pruned circuit, and simulate the core register in packed order.  The
-    packed-order probabilities pick the layer order, and one more
-    simulation in that order gives the reported error and probabilities.
+    pruned circuit, build the core-register model and take the error from
+    its state.  The windows commute, so that state, and the error, are the
+    same in every layer order.  Two passes over real weights then give the
+    packed-order probabilities, which pick the layer order, and the
+    probabilities in that order, which price it.
 
-    With ``target_error`` set, the gate budget is bisected to the largest
-    delta whose packed-order error stays at or below the target, and the
-    accepted candidate's run is reused for ordering.  Pruning removes more
-    gates as delta grows, so later gates get different noise axes from one
-    candidate to the next and the error need not be monotone in delta; the
-    search is deterministic under the seed, not stable across pruning
-    boundaries.  Keying each draw by the gate's position in the unpruned
-    circuit fixes this (ROADMAP.md, open item 3).
+    With ``target_error`` set, the gate budget is bisected over 15 states
+    to the largest delta whose error stays at or below the target, and the
+    accepted candidate's run is reused; a fixed budget builds one state.
+    Pruning removes more gates as delta grows, so later gates get
+    different noise axes from one candidate to the next and the error need
+    not be monotone in delta; the search is deterministic under the seed,
+    not stable across pruning boundaries.  Keying each draw by the gate's
+    position in the unpruned circuit fixes this (ROADMAP.md, open item 4).
     """
     alpha = spec.derived_alpha
     ideal = simulator.ideal_core_half_shifted(spec.n_qubits - 1, alpha)
     if target_error is None:
-        run = _packed_run(spec, spec.gate_error, seed, alloc)[0]
+        run = _packed_run(spec, spec.gate_error, seed, alloc, ideal)
     else:
         run = _search_delta(spec, target_error, seed, alloc, ideal)
 
     n0, nks = layered_t_depth(run.layered, run.budget)
-    permutation = _pick_order(order, nks, run.probs, seed)
-    # the symmetrizing postlude is an isometry, so error and success
-    # probabilities are fully determined on the core register
-    state, probs = simulator.core_pipeline(run.layered, noise=run.noise,
-                                           order=permutation)
-    eps = simulator.l2_error(ideal, state)
+    packed = run.model.probs(range(len(nks))).tolist()
+    permutation = _pick_order(order, nks, packed, seed)
+    probs = run.model.probs(permutation).tolist()
     et = expected_t_depth(n0, list(zip(nks, probs)))
     gamma2 = float(np.prod(probs)) if probs else 1.0
     return EstimateReport(
@@ -191,7 +190,7 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
         alpha=alpha,
         beta=spec.beta,
         delta=run.budget.delta_gate,
-        l2_error=eps,
+        l2_error=run.eps,
         subnormalization=math.sqrt(gamma2),
         layer_probs=tuple(probs),
         expected_t_depth=et,
@@ -209,35 +208,32 @@ def _budget(delta: float, alloc: str) -> ErrorBudget:
     raise ParameterError(f"unknown allocation scheme {alloc!r}")
 
 
-def _packed_run(spec: GaussianSpec, delta: float, seed: int, alloc: str
-                ) -> tuple[_PackedRun, np.ndarray]:
-    """The run at gate budget ``delta`` and its packed-order core state."""
+def _packed_run(spec: GaussianSpec, delta: float, seed: int, alloc: str,
+                ideal: np.ndarray) -> _PackedRun:
+    """The run at gate budget ``delta``; its core state is dropped on
+    return, before the next candidate builds its own."""
     budget = _budget(delta, alloc)
     layered, prune_info = prune_layered(
         layered_full_gaussian(spec.n_qubits, spec.derived_alpha), budget)
     rng = np.random.default_rng(seed)
     noise = simulator.realize_noise(layered.to_circuit().gates(), budget, rng)
-    state, probs = simulator.core_pipeline(layered, noise=noise)
-    return _PackedRun(layered, budget, noise, prune_info.total, probs), state
+    model = simulator.GaussianLayerModel(layered, noise=noise)
+    eps = simulator.l2_error(ideal, model.state())
+    return _PackedRun(layered, budget, model, prune_info.total, eps)
 
 
 def _search_delta(spec: GaussianSpec, target_error: float, seed: int,
                   alloc: str, ideal: np.ndarray) -> _PackedRun:
     """The run at the largest bisected delta meeting ``target_error``."""
-    def meets_target(delta: float) -> tuple[_PackedRun, bool]:
-        # the core state is dropped on return, before the next candidate
-        run, state = _packed_run(spec, delta, seed, alloc)
-        return run, simulator.l2_error(ideal, state) <= target_error
-
     lo, hi = -15.0, math.log10(0.05)
-    accepted, ok = meets_target(10.0 ** lo)
-    if not ok:
+    accepted = _packed_run(spec, 10.0 ** lo, seed, alloc, ideal)
+    if accepted.eps > target_error:
         raise ParameterError(
             f"target error {target_error} unreachable even at delta=1e-15")
     for _ in range(14):
         mid = 0.5 * (lo + hi)
-        run, ok = meets_target(10.0 ** mid)
-        if ok:
+        run = _packed_run(spec, 10.0 ** mid, seed, alloc, ideal)
+        if run.eps <= target_error:
             lo, accepted = mid, run
         else:
             hi = mid

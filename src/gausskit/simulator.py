@@ -1,21 +1,24 @@
 """Statevector simulation: exact, post-selected, and noisy.
 
-Two backends share one contract:
+Three engines, one job each:
 
 * ``simulate_exact`` carries every live ancilla as a real tensor factor
   and projects it at its measurement barrier; memory is 2**(data + live).
-  It is the oracle for the post-selected paths.
-* The post-selected paths never materialize ancilla, which is what makes
-  20+ qubit runs cheap.  ``simulate_postselected``, ``core_pipeline`` and
-  ``GaussianLayerModel`` share one strided window kernel that multiplies
-  the control-satisfied block of the data state in place; the core paths
-  build their prelude as a product of per-qubit 2-vectors.
+  It is the oracle for the other two.
+* ``simulate_postselected`` runs any flat circuit on the data register
+  alone: an ancilla-targeted window multiplies the control-satisfied
+  block of the state in place through one strided kernel, which is what
+  makes 20+ qubit runs cheap.
+* ``GaussianLayerModel`` runs the core register of a layered Gaussian.
+  Its windows commute, so ``state()`` builds the one final state of every
+  layer order, and ``probs(order)`` takes the success probabilities of an
+  order from the real weights |amplitude|**2.
 
-Both record one success probability per barrier; their product is the
-squared subnormalization of the preparation.
+Every engine records one success probability per barrier; their product
+is the squared subnormalization of the preparation.
 
 Noise is a ``NoiseRealization`` from ``realize_noise``: one random target
-perturbation per rotation gate, which every backend applies the same way.
+perturbation per rotation gate, which every engine applies the same way.
 The module only runs circuits.  The end-to-end pipeline (build, prune,
 draw noise, simulate, order, price) is ``resources.estimate``, and
 ``simulate_rus_process`` samples the repeat-until-success restart process
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
-from .gates import Gate, GateKind, ParameterError, gate_matrix, rotation_kernel
+from .gates import (CLIFFORD_KINDS, Gate, GateKind, ParameterError,
+                    gate_matrix, rotation_kernel)
 from .optimizer import ErrorBudget
 
 MAX_QUBITS = 26
@@ -99,7 +103,7 @@ def _embed_target_perturbation(p: np.ndarray, n_controls: int) -> np.ndarray:
 
 
 def _noise_delta(gate: Gate, budget: ErrorBudget) -> float:
-    if gate.kind in (GateKind.H, GateKind.X, GateKind.CNOT):
+    if gate.kind in CLIFFORD_KINDS:
         return 0.0
     return budget.delta_single if not gate.controls else budget.delta_controlled
 
@@ -309,8 +313,11 @@ def l2_error(a, b) -> float:
     if va.shape != vb.shape:
         raise ParameterError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     ov = np.vdot(va, vb)
-    phase = ov / abs(ov) if abs(ov) > 0 else 1.0
-    return float(np.linalg.norm(va - vb * np.conj(phase)))
+    # complex, so that a real b times it can take a complex a in place
+    phase = ov / abs(ov) if abs(ov) > 0 else 1.0 + 0.0j
+    diff = vb * np.conj(phase)
+    diff -= va
+    return float(np.linalg.norm(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -386,101 +393,93 @@ def ideal_core_half_shifted(core: int, alpha: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Layered-Gaussian fast path (core register only, windows as diagonals)
+# Layered-Gaussian core register (windows as commuting diagonals)
 
 
-def _core_count(layered: LayeredCircuit) -> int:
-    core = layered.data_qubits - 1
-    for layer in layered.layers:
-        for g in layer.gates:
-            if any(c.qubit >= core for c in g.controls):
-                raise ParameterError("layer controls must stay on core qubits")
-    return core
+def _fill_product(vec: np.ndarray, amps, by_top) -> np.ndarray:
+    """Fill ``vec`` with the product of the per-qubit 2-vectors ``amps``.
 
-
-def _product_prelude(layered: LayeredCircuit, core: int,
-                     noise: NoiseRealization | None) -> np.ndarray:
-    """Core state after the prelude, built as a Kronecker product: prelude
-    gates and their noise act on single qubits, so each core qubit stays a
-    2-vector, and doubling for qubit j fills amplitudes 2**j..2**(j+1)-1."""
-    qubits = np.zeros((core, 2), dtype=complex)
-    qubits[:, 0] = 1.0
-    for gate in layered.prelude.gates():
-        if gate.controls or gate.target > core:
-            raise ParameterError(
-                "prelude gates must be uncontrolled and act on data qubits")
-        if gate.target == core:
-            continue  # the top-qubit Hadamard is not part of the core
-        mat = _gate_full_matrix(gate, layered.alpha, noise)
-        qubits[gate.target] = mat @ qubits[gate.target]
-    state = np.empty(1 << core, dtype=complex)
-    state[0] = 1.0
-    for j, (amp0, amp1) in enumerate(qubits):
-        np.multiply(state[:1 << j], amp1, out=state[1 << j:2 << j])
-        state[:1 << j] *= amp0
-    return state
-
-
-def core_pipeline(layered: LayeredCircuit,
-                  noise: NoiseRealization | None = None,
-                  order: tuple[int, ...] | None = None
-                  ) -> tuple[np.ndarray, list[float]]:
-    """Core-register simulation of prelude + layers (no postlude).
-
-    The symmetrizing postlude is an isometry, so fidelity/error measured
-    on the core equals the full-register value; this is the cheap path the
-    delta search uses.
-    """
-    core = _core_count(layered)
-    _check_capacity(core, copies=2)  # tracemalloc peak at core 15..21
-    state = _product_prelude(layered, core, noise)
-    probs: list[float] = []
-    seq = order if order is not None else range(len(layered.layers))
-    for li in seq:
-        scale = 1.0
-        for gate in layered.layers[li].gates:
-            f_sel, f_rest = _window_factors(gate, layered.alpha, noise)
-            _apply_window(state, gate.controls, f_sel / f_rest)
-            scale *= f_rest
-        probs.append(_post_select(state, scale))
-    return state, probs
+    Doubling for bit j fills entries 2**j..2**(j+1)-1; then each window
+    (controls, factor) in ``by_top[j]``, whose highest control is j,
+    multiplies its block of the first 2**(j+1) entries."""
+    vec[0] = 1.0
+    for j, (amp0, amp1) in enumerate(amps):
+        np.multiply(vec[:1 << j], amp1, out=vec[1 << j:2 << j])
+        vec[:1 << j] *= amp0
+        for controls, factor in by_top[j]:
+            _apply_window(vec[:2 << j], controls, factor)
+    return vec
 
 
 class GaussianLayerModel:
-    """Per-layer squared window diagonals for fast reordering studies.
+    """The core register of a layered Gaussian, prelude plus layers.
 
-    ``probs(order)`` returns every layer's exact success probability under
-    that execution order in one vectorized pass.
+    The prelude is a product of per-qubit 2-vectors, and each window is
+    read once as (controls, f_sel/f_rest, f_rest).  The windows commute,
+    so the final state is the same in every layer order; the per-layer
+    success probabilities are not.  The symmetrizing postlude is an
+    isometry, so both equal their full-register values.
     """
 
     def __init__(self, layered: LayeredCircuit,
                  noise: NoiseRealization | None = None):
-        core = _core_count(layered)
-        # tracemalloc peak at core 15 and 18: the prelude and its squared
-        # magnitudes (1.5 states), or float64 half-states for weights0, each
-        # layer and the copy probs() makes
-        _check_capacity(core, copies=max(1.5, 1 + len(layered.layers) / 2))
-        self.weights0 = np.abs(_product_prelude(layered, core, noise)) ** 2
-        self.layer_sq: list[np.ndarray] = []
+        self.core = core = layered.data_qubits - 1
+        self.qubits = np.zeros((core, 2), dtype=complex)
+        self.qubits[:, 0] = 1.0
+        for gate in layered.prelude.gates():
+            if gate.controls or gate.target > core:
+                raise ParameterError(
+                    "prelude gates must be uncontrolled and act on data qubits")
+            if gate.target == core:
+                continue  # the top-qubit Hadamard is not part of the core
+            mat = _gate_full_matrix(gate, layered.alpha, noise)
+            self.qubits[gate.target] = mat @ self.qubits[gate.target]
+        self.layers = []
+        self.by_top = [[] for _ in range(core)]  # windows by highest control
+        self.scale = 1.0  # the product of every window's f_rest
         for layer in layered.layers:
-            sq = np.ones(1 << core)
-            scale = 1.0
+            windows = []
             for gate in layer.gates:
+                top = max((c.qubit for c in gate.controls), default=core)
+                if top >= core:
+                    raise ParameterError(
+                        "layer windows need controls, all on core qubits")
                 f_sel, f_rest = _window_factors(gate, layered.alpha, noise)
-                _apply_window(sq, gate.controls, abs(f_sel / f_rest) ** 2)
-                scale *= abs(f_rest) ** 2
-            sq *= scale
-            self.layer_sq.append(sq)
+                windows.append((gate.controls, f_sel / f_rest, f_rest))
+                self.by_top[top].append((gate.controls, f_sel / f_rest))
+                self.scale *= f_rest
+            self.layers.append(windows)
+
+    def state(self) -> np.ndarray:
+        """The normalized core state after all layers, in any order."""
+        # tracemalloc peak: 1.51 and 1.06 states at core 15 and 18 (the
+        # state plus ufunc buffers of the strided window multiplies)
+        _check_capacity(self.core, copies=1.5)
+        state = _fill_product(np.empty(1 << self.core, dtype=complex),
+                              self.qubits, self.by_top)
+        _post_select(state, self.scale)
+        return state
 
     def probs(self, order) -> np.ndarray:
-        w = self.weights0.copy()
-        prev = float(w.sum())
-        out = np.empty(len(self.layer_sq))
+        """Each layer's success probability when the layers run in ``order``.
+
+        One pass over the real weights |amplitude|**2: a layer multiplies
+        its windows' |f_sel/f_rest|**2 in, and its probability is the ratio
+        of the weight sums after and before, times its |f_rest|**2.
+        """
+        _check_capacity(self.core, copies=0.75)  # peak 0.75 and 0.53 states
+        w = _fill_product(np.empty(1 << self.core), np.abs(self.qubits) ** 2,
+                          [()] * self.core)
+        total = float(w.sum())
+        out = np.empty(len(order))
         for i, li in enumerate(order):
-            w *= self.layer_sq[li]
+            scale = 1.0
+            for controls, ratio, f_rest in self.layers[li]:
+                _apply_window(w, controls, abs(ratio) ** 2)
+                scale *= abs(f_rest) ** 2
             cur = float(w.sum())
-            out[i] = cur / prev
-            prev = cur
+            out[i] = scale * cur / total
+            total = cur
         return out
 
 

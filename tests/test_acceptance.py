@@ -185,7 +185,7 @@ def test_criterion_6_expected_cost_vs_monte_carlo():
         lay = layered_full_gaussian(n, alpha)
         budget = ErrorBudget.two_to_one(1e-4)
         n0, nks = resources.layered_t_depth(lay, budget)
-        ps = simulator.core_pipeline(lay)[1]
+        ps = GaussianLayerModel(lay).probs(range(len(lay.layers)))
         formula = expected_t_depth(n0, list(zip(nks, ps)))
         stats = simulate_rus_process(n0, nks, ps, 100000, seed=seed)
         dev = abs(stats.mean - formula) / stats.stderr

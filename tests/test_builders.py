@@ -8,7 +8,6 @@ from gausskit.builders import (
     build_full_gaussian,
     build_gaussian_2d,
     build_half_gaussian,
-    build_linear_phase,
     build_poly_phase,
     layered_full_gaussian,
     merged_a_exponent,
@@ -25,15 +24,14 @@ def brute_window(exponents: np.ndarray, log_alpha: float) -> np.ndarray:
 
 
 def test_linear_phase_structure():
-    c = build_linear_phase(5, 0.3)
+    c = build_poly_phase(5, 0.3, 1)
     assert c.count(GateKind.H) == 5
     zs = [g for g in c.gates() if g.kind is GateKind.Z]
     assert [(g.exponent, g.target) for g in zs] == [(float(j), j) for j in range(5)]
-    assert build_poly_phase(5, 0.3, 1) == c
 
 
 def test_linear_phase_single_qubit():
-    c = build_linear_phase(1, 0.7)
+    c = build_poly_phase(1, 0.7, 1)
     sv, _ = simulate_exact(c)
     expected = np.array([1.0, np.exp(1j * 0.7)]) / math.sqrt(2)
     np.testing.assert_allclose(sv.amplitudes, expected, atol=1e-14)
@@ -41,7 +39,7 @@ def test_linear_phase_single_qubit():
 
 def test_linear_phase_values():
     alpha = math.pi / 4
-    sv, _ = simulate_exact(build_linear_phase(3, alpha))
+    sv, _ = simulate_exact(build_poly_phase(3, alpha, 1))
     x = np.arange(8)
     expected = np.exp(1j * alpha * x) / math.sqrt(8)
     np.testing.assert_allclose(sv.amplitudes, expected, atol=1e-13)

@@ -182,6 +182,59 @@ def test_simulate_file_rejects_options_the_file_fixes(runner, tmp_path, args):
     assert not row.exists()
 
 
+def _epsilon(output: str) -> float:
+    return float([l for l in output.splitlines() if "epsilon" in l][0].split()[-1])
+
+
+@pytest.fixture
+def layered_file(runner, tmp_path):
+    path = tmp_path / "g6.txt"
+    runner.invoke(main, ["generate", "--family", "gaussian", "--n", "6",
+                         "--alpha", "0.9", "--layered", "--out", str(path)])
+    return str(path)
+
+
+def test_simulate_file_with_delta_draws_noise_from_seed(runner, layered_file):
+    base = ["simulate", layered_file, "--family", "gaussian"]
+    clean = runner.invoke(main, base)
+    runs = [runner.invoke(main, base + ["--delta", "1e-4", *seed])
+            for seed in ([], ["--seed", "0"], ["--seed", "9"])]
+    assert [r.exit_code for r in runs] == [0, 0, 0]
+    assert runs[0].output == runs[1].output  # --seed defaults to 0
+    assert runs[1].output != runs[2].output  # the seed draws the noise
+    assert _epsilon(clean.output) <= 1e-10 < _epsilon(runs[0].output)
+
+
+def test_simulate_noisy_spec_takes_order_alloc_seed(runner):
+    base = ["simulate", "--n", "7", "--alpha", "0.95", "--delta", "1e-5"]
+    default = runner.invoke(main, base)
+    given = runner.invoke(main, base + ["--order", "optimal", "--alloc",
+                                        "2to1", "--seed", "0"])
+    other = runner.invoke(main, base + ["--order", "identity", "--alloc",
+                                        "uniform", "--seed", "5"])
+    assert [r.exit_code for r in (default, given, other)] == [0, 0, 0]
+    assert default.output == given.output
+    assert other.output != default.output
+
+
+@pytest.mark.parametrize("use_file, extra", [
+    (True, ["--order", "random", "--delta", "1e-4"]),
+    (True, ["--seed", "9"]),
+    (True, ["--alloc", "uniform"]),
+    (False, ["--order", "optimal"]),
+    (False, ["--alloc", "2to1"]),
+    (False, ["--seed", "0"]),
+], ids=["file-order", "file-seed", "file-alloc", "spec-order", "spec-alloc",
+        "spec-seed"])
+def test_simulate_rejects_options_the_branch_ignores(runner, layered_file,
+                                                     use_file, extra):
+    source = [layered_file] if use_file else ["--n", "6", "--alpha", "0.9"]
+    result = runner.invoke(main, ["simulate", *source, *extra])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert extra[0] in result.output
+
+
 def test_readme_cli_examples_run(runner, tmp_path, monkeypatch):
     # every `gausskit ...` line of README's CLI block, in order
     readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -15,10 +15,7 @@ from gausskit.gates import (
     a_matrix,
     a_xh_distance,
     b_matrix,
-    beta_for_stddevs,
-    controlled_b_matrix,
     gate_matrix,
-    stddevs_for_beta,
     z_matrix,
 )
 
@@ -81,8 +78,7 @@ def test_controlled_b_matrix_layout():
             [0, s, 0, a],
         ]
     )
-    np.testing.assert_allclose(controlled_b_matrix(alpha, m), expected, atol=1e-15)
-    # gate_matrix of a single-controlled B reproduces the same 4x4
+    # basis |target control>: B acts on the control's |1> block
     gate = Gate(GateKind.B, 1, exponent=m, controls=(Control(0),))
     np.testing.assert_allclose(gate_matrix(gate, alpha), expected, atol=1e-15)
 
@@ -163,11 +159,3 @@ def test_gaussian_spec_validation():
     with pytest.raises(ParameterError):
         GaussianSpec(n_qubits=4, alpha=0.5, gate_error=0.0)
 
-
-def test_beta_stddev_helpers():
-    # beta ~ 1.4e-11 captures five standard deviations
-    assert beta_for_stddevs(5.0) == pytest.approx(math.exp(-25), rel=1e-12)
-    assert math.exp(-25) == pytest.approx(1.389e-11, rel=1e-3)
-    # the headline window: 4*sqrt(2) standard deviations
-    assert beta_for_stddevs(4 * math.sqrt(2)) == pytest.approx(1.266e-14, rel=1e-3)
-    assert stddevs_for_beta(beta_for_stddevs(3.7)) == pytest.approx(3.7, rel=1e-12)

@@ -14,7 +14,6 @@ from gausskit.optimizer import (
     expected_t_depth,
     order_layers,
     pack_layers,
-    prunable_control_depth,
     prune_circuit,
     prune_layered,
     qubit_threshold,
@@ -51,32 +50,6 @@ def test_qubit_threshold_domain():
         qubit_threshold(1.0, 0.5)
     with pytest.raises(ParameterError):
         qubit_threshold(0.5, 0.0)
-
-
-def test_prunable_depth_nothing_at_fig8_corner():
-    # 1 - 0.99**(2**5) = 0.275 >= 0.01 already at k=1
-    assert prunable_control_depth(0.99, 0.01, 5) == 0
-
-
-def test_prunable_depth_tiny_delta():
-    assert prunable_control_depth(0.9, 1e-12, 4) == 0
-
-
-def test_prunable_depth_frozen_oracle_value():
-    # scan oracle for alpha=1-1e-12, delta=1e-3, n=10 gives k=20
-    assert prunable_control_depth(1 - 1e-12, 1e-3, 10) == 20
-
-
-def test_prunable_depth_matches_scan():
-    def scan(alpha, delta, n):
-        k = 0
-        while 1.0 - alpha ** (2.0 ** (k + n)) < delta:
-            k += 1
-        return k
-
-    for alpha, delta, n in [(1 - 1e-6, 1e-2, 4), (1 - 1e-9, 1e-4, 6),
-                            (0.999, 0.05, 3)]:
-        assert prunable_control_depth(alpha, delta, n) == scan(alpha, delta, n)
 
 
 def test_pack_layers_round_shapes():

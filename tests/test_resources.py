@@ -6,8 +6,10 @@ import pytest
 
 from gausskit import simulator
 from gausskit.builders import build_poly_phase, layered_full_gaussian
-from gausskit.gates import Control, Gate, GateKind, GaussianSpec, ParameterError
-from gausskit.optimizer import ErrorBudget, expected_t_depth, qubit_threshold
+from gausskit.gates import (Control, Gate, GateKind, GaussianSpec,
+                            ParameterError, gate_matrix, rotation_kernel)
+from gausskit.optimizer import (ErrorBudget, expected_t_depth, prune_layered,
+                                qubit_threshold)
 from gausskit.resources import (
     CostModel,
     circuit_t_depth,
@@ -153,24 +155,87 @@ def test_estimate_search_equals_fixed_delta_run(order, alloc):
 
 
 def test_estimate_core_simulation_count(monkeypatch):
-    # 15 bisection candidates plus the chosen-order run; a fixed delta
-    # simulates in packed order, then in the chosen order
+    # 15 bisection candidates build one core state each; the accepted run
+    # takes probabilities in packed order, then in the chosen order, and a
+    # fixed delta builds one state
     calls = []
-    core_pipeline = simulator.core_pipeline
+    for name in ("state", "probs"):
+        method = getattr(simulator.GaussianLayerModel, name)
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("order"))
-        return core_pipeline(*args, **kwargs)
+        def counting(self, *args, _name=name, _method=method):
+            calls.append((_name, *(tuple(a) for a in args)))
+            return _method(self, *args)
 
-    monkeypatch.setattr(simulator, "core_pipeline", counting)
+        monkeypatch.setattr(simulator.GaussianLayerModel, name, counting)
     spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-5)
-    estimate(spec, target_error=1e-5, seed=2)
-    assert len(calls) == 16
-    assert calls[:15] == [None] * 15 and calls[15] is not None
+    rep = estimate(spec, target_error=1e-5, seed=2)
+    packed = tuple(range(len(rep.ordering)))
+    assert calls == [("state",)] * 15 + [("probs", packed),
+                                         ("probs", rep.ordering)]
     calls.clear()
-    estimate(spec, seed=2)
-    assert len(calls) == 2
-    assert calls[0] is None and calls[1] is not None
+    rep = estimate(spec, seed=2)
+    assert calls == [("state",), ("probs", packed), ("probs", rep.ordering)]
+
+
+def test_estimate_error_is_the_same_in_every_order():
+    # the windows commute, so the core state, and its error, do not depend
+    # on the layer order; only the probabilities and the T-depth do
+    spec = GaussianSpec(n_qubits=16, beta=1.3e-14, gate_error=2.67e-10)
+    eps = [estimate(spec, seed=3, order=order).l2_error
+           for order in ("identity", "random", "optimal")]
+    assert eps[0] == eps[1] == eps[2]
+
+
+def _longdouble_core_error(layered, noise) -> float:
+    """The core error of ``layered`` under ``noise``, built gate by gate in
+    extended precision: prelude rotations as 2x2 updates, each window as
+    <0|P B|0> on its control subspace and <0|P|0> elsewhere."""
+    core = layered.data_qubits - 1
+    alpha = layered.alpha
+    state = np.zeros(1 << core, dtype=np.clongdouble)
+    state[0] = 1
+    for gate in layered.prelude.gates():
+        if gate.target == core:
+            continue  # the top qubit only feeds the symmetrizing postlude
+        mat = gate_matrix(gate, alpha).astype(np.clongdouble)
+        if gate in noise:
+            mat = noise[gate].astype(np.clongdouble) @ mat
+        view = state.reshape(-1, 2, 1 << gate.target)
+        a, b = view[:, 0, :].copy(), view[:, 1, :].copy()
+        view[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
+        view[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
+    x = np.arange(1 << core)
+    for layer in layered.layers:
+        for gate in layer.gates:
+            p = noise.get(gate, np.eye(2)).astype(np.clongdouble)
+            kernel = rotation_kernel(gate.kind, gate.exponent, alpha)
+            sel = np.ones(x.size, dtype=bool)
+            for c in gate.controls:
+                sel &= ((x >> c.qubit) & 1) == int(c.closed)
+            state *= np.where(sel, (p @ kernel.astype(np.clongdouble))[0, 0],
+                              p[0, 0])
+    state /= np.sqrt(np.vdot(state, state).real)
+    y = np.arange(1 << core, dtype=np.longdouble)
+    ideal = np.exp(np.log(np.longdouble(alpha)) * (y + 0.5) ** 2)
+    ideal /= np.sqrt((ideal * ideal).sum())
+    ov = np.vdot(ideal, state)
+    return float(np.linalg.norm(ideal - state * np.conj(ov / abs(ov))))
+
+
+@pytest.mark.parametrize("n, spec_args, delta, seed", [
+    (12, {"beta": 1.3e-14}, 1e-10, 3),
+    (15, {"alpha": 1 - 1e-9}, 1e-9, 1),  # one gate pruned
+    (14, {"alpha": 1 - 1e-7}, 1e-8, 4),
+])
+def test_estimate_error_matches_long_double_oracle(n, spec_args, delta, seed):
+    spec = GaussianSpec(n_qubits=n, gate_error=delta, **spec_args)
+    rep = estimate(spec, seed=seed, order="random")
+    budget = ErrorBudget.two_to_one(delta)
+    layered, _ = prune_layered(layered_full_gaussian(n, rep.alpha), budget)
+    noise = simulator.realize_noise(layered.to_circuit().gates(), budget,
+                                    np.random.default_rng(seed))
+    oracle = _longdouble_core_error(layered, noise)
+    assert rep.l2_error == pytest.approx(oracle, rel=1e-6)
 
 
 def test_estimate_core_error_equals_full_register_error():

@@ -19,7 +19,6 @@ from gausskit.optimizer import ErrorBudget, pack_layers, prune_layered
 from gausskit.simulator import (
     CapacityError,
     GaussianLayerModel,
-    core_pipeline,
     ideal_gaussian,
     l2_error,
     realize_noise,
@@ -264,9 +263,11 @@ def test_ideal_state_beta_mode():
 
 def test_core_pipeline_matches_full_simulation():
     lay = layered_full_gaussian(7, 0.9)
-    core_state, probs = core_pipeline(lay)
+    model = GaussianLayerModel(lay)
+    core_state = model.state()
+    probs = model.probs(range(len(lay.layers)))
     _, rep = simulate_postselected(lay)
-    assert probs == pytest.approx(list(rep.layer_probs), abs=1e-13)
+    assert list(probs) == pytest.approx(list(rep.layer_probs), abs=1e-13)
     ideal_core = np.exp(math.log(0.9) * (np.arange(64) + 0.5) ** 2)
     ideal_core /= np.linalg.norm(ideal_core)
     assert l2_error(ideal_core, core_state) < 1e-12
@@ -295,7 +296,8 @@ def test_core_pipeline_matches_exact_backend(n, draw, noisy):
     noise = (realize_noise(lay.to_circuit().gates(), budget, rng)
              if noisy else None)
     order = tuple(int(i) for i in rng.permutation(len(lay.layers)))
-    state, probs = core_pipeline(lay, noise=noise, order=order)
+    model = GaussianLayerModel(lay, noise=noise)
+    state, probs = model.state(), model.probs(order)
     ordered = dataclasses.replace(
         lay, layers=tuple(lay.layers[i] for i in order),
         postlude=dataclasses.replace(lay.postlude, elements=()))
@@ -335,29 +337,33 @@ def test_core_pipeline_rejects_gate_outside_product_prelude(gate):
     lay = layered_full_gaussian(6, 0.9)
     lay = dataclasses.replace(lay, prelude=lay.prelude.extended(gate))
     with pytest.raises(ParameterError):
-        core_pipeline(lay)
+        GaussianLayerModel(lay)
 
 
 def test_core_pipeline_capacity_boundary(monkeypatch):
-    # predicted need: two 2**core complex states (the measured peak)
-    lay = layered_full_gaussian(9, 0.95)
-    need_mb = (1 << 8) * 16 * 2 / 1e6
+    # predicted need of state(): 1.5 complex 2**core states, the
+    # tracemalloc peak measured at core 15 (1.06 at core 18)
+    model = GaussianLayerModel(layered_full_gaussian(9, 0.95))
+    need_mb = (1 << 8) * 16 * 1.5 / 1e6
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
-    core_pipeline(lay)
+    model.state()
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
     with pytest.raises(CapacityError):
-        core_pipeline(lay)
+        model.state()
 
 
 def test_layer_model_capacity_boundary(monkeypatch):
-    # predicted need: 1 + layers/2 complex states (the measured peak)
+    # predicted need of probs(): 0.75 complex 2**core states, the
+    # tracemalloc peak measured at core 15 (0.53 at core 18)
     lay = layered_full_gaussian(9, 0.95)
-    need_mb = (1 << 8) * 16 * (1 + len(lay.layers) / 2) / 1e6
+    model = GaussianLayerModel(lay)
+    order = range(len(lay.layers))
+    need_mb = (1 << 8) * 16 * 0.75 / 1e6
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
-    GaussianLayerModel(lay)
+    model.probs(order)
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
     with pytest.raises(CapacityError):
-        GaussianLayerModel(lay)
+        model.probs(order)
 
 
 def test_layer_model_matches_sequential_probs():
@@ -365,7 +371,8 @@ def test_layer_model_matches_sequential_probs():
     model = GaussianLayerModel(lay)
     identity = list(range(len(lay.layers)))
     np.testing.assert_allclose(model.probs(identity),
-                               core_pipeline(lay)[1], atol=1e-12)
+                               simulate_postselected(lay)[1].layer_probs,
+                               atol=1e-12)
     # any reordering keeps the product (windows commute)
     rng = np.random.default_rng(2)
     perm = rng.permutation(len(lay.layers))
@@ -390,7 +397,7 @@ def test_monte_carlo_matches_formula_on_circuit():
     lay = layered_full_gaussian(6, 0.9)
     budget = ErrorBudget.two_to_one(1e-4)
     n0, nks = layered_t_depth(lay, budget)
-    ps = core_pipeline(lay)[1]
+    ps = GaussianLayerModel(lay).probs(range(len(lay.layers)))
     stats = simulate_rus_process(n0, nks, ps, 100000, seed=0)
     et = expected_t_depth(n0, list(zip(nks, ps)))
     assert abs(stats.mean - et) <= 3 * stats.stderr
