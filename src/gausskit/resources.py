@@ -155,13 +155,13 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
              ) -> EstimateReport:
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
-    Every gate budget runs one pipeline: build the layered circuit, prune
-    windows below the budget, draw noise from ``seed`` in gate order of the
-    pruned circuit, build the core-register model and take the error from
-    its state.  The windows commute, so that state, and the error, are the
-    same in every layer order.  Two passes over real weights then give the
-    packed-order probabilities, which pick the layer order, and the
-    probabilities in that order, which price it.
+    The layered circuit is built once.  Every gate budget then runs one
+    pipeline: prune windows below the budget, draw noise from ``seed`` in
+    gate order of the pruned circuit, build the core-register model and
+    take the error from its state.  The windows commute, so that state,
+    and the error, are the same in every layer order.  Two passes over
+    real weights then give the packed-order probabilities, which pick the
+    layer order, and the probabilities in that order, which price it.
 
     With ``target_error`` set, the gate budget is bisected over 15 states
     to the largest delta whose error stays at or below the target, and the
@@ -173,11 +173,12 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     position in the unpruned circuit fixes this (ROADMAP.md, open item 4).
     """
     alpha = spec.derived_alpha
+    full = layered_full_gaussian(spec.n_qubits, alpha)
     ideal = simulator.ideal_core_half_shifted(spec.n_qubits - 1, alpha)
     if target_error is None:
-        run = _packed_run(spec, spec.gate_error, seed, alloc, ideal)
+        run = _packed_run(full, spec.gate_error, seed, alloc, ideal)
     else:
-        run = _search_delta(spec, target_error, seed, alloc, ideal)
+        run = _search_delta(full, target_error, seed, alloc, ideal)
 
     n0, nks = layered_t_depth(run.layered, run.budget)
     packed = run.model.probs(range(len(nks))).tolist()
@@ -208,13 +209,13 @@ def _budget(delta: float, alloc: str) -> ErrorBudget:
     raise ParameterError(f"unknown allocation scheme {alloc!r}")
 
 
-def _packed_run(spec: GaussianSpec, delta: float, seed: int, alloc: str,
+def _packed_run(full: LayeredCircuit, delta: float, seed: int, alloc: str,
                 ideal: np.ndarray) -> _PackedRun:
-    """The run at gate budget ``delta``; its core state is dropped on
-    return, before the next candidate builds its own."""
+    """The run of the unpruned circuit ``full`` at gate budget ``delta``;
+    its core state is dropped on return, before the next candidate builds
+    its own."""
     budget = _budget(delta, alloc)
-    layered, prune_info = prune_layered(
-        layered_full_gaussian(spec.n_qubits, spec.derived_alpha), budget)
+    layered, prune_info = prune_layered(full, budget)
     rng = np.random.default_rng(seed)
     noise = simulator.realize_noise(layered.to_circuit().gates(), budget, rng)
     model = simulator.GaussianLayerModel(layered, noise=noise)
@@ -222,17 +223,17 @@ def _packed_run(spec: GaussianSpec, delta: float, seed: int, alloc: str,
     return _PackedRun(layered, budget, model, prune_info.total, eps)
 
 
-def _search_delta(spec: GaussianSpec, target_error: float, seed: int,
+def _search_delta(full: LayeredCircuit, target_error: float, seed: int,
                   alloc: str, ideal: np.ndarray) -> _PackedRun:
     """The run at the largest bisected delta meeting ``target_error``."""
     lo, hi = -15.0, math.log10(0.05)
-    accepted = _packed_run(spec, 10.0 ** lo, seed, alloc, ideal)
+    accepted = _packed_run(full, 10.0 ** lo, seed, alloc, ideal)
     if accepted.eps > target_error:
         raise ParameterError(
             f"target error {target_error} unreachable even at delta=1e-15")
     for _ in range(14):
         mid = 0.5 * (lo + hi)
-        run = _packed_run(spec, 10.0 ** mid, seed, alloc, ideal)
+        run = _packed_run(full, 10.0 ** mid, seed, alloc, ideal)
         if run.eps <= target_error:
             lo, accepted = mid, run
         else:

@@ -10,9 +10,12 @@ Three engines, one job each:
   block of the state in place through one strided kernel, which is what
   makes 20+ qubit runs cheap.
 * ``GaussianLayerModel`` runs the core register of a layered Gaussian.
-  Its windows commute, so ``state()`` builds the one final state of every
-  layer order, and ``probs(order)`` takes the success probabilities of an
-  order from the real weights |amplitude|**2.
+  Each window is a factor R[j, k]**(x_j*x_k) on a pair of core bits, so
+  the windows commute: ``state()`` builds the one final state of every
+  layer order by doubling over the bits, each new half the old one times
+  a column of pair factors, and ``probs(order)`` takes the success
+  probabilities of an order from the real weights |amplitude|**2 the
+  same way, a layer at a time.
 
 Every engine records one success probability per barrier; their product
 is the squared subnormalization of the preparation.
@@ -312,7 +315,14 @@ def l2_error(a, b) -> float:
     vb = b.amplitudes if isinstance(b, StateVector) else np.asarray(b)
     if va.shape != vb.shape:
         raise ParameterError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    ov = np.vdot(va, vb)
+    if np.iscomplexobj(vb) and not np.iscomplexobj(va):
+        # a real a: sum (re, im) pairs of b against it, with no complex
+        # copy of a
+        re, im = np.ascontiguousarray(vb, dtype=complex).view(
+            np.float64).reshape(-1, 2).T @ va
+        ov = complex(re, im)
+    else:
+        ov = np.vdot(va, vb)
     # complex, so that a real b times it can take a complex a in place
     phase = ov / abs(ov) if abs(ov) > 0 else 1.0 + 0.0j
     diff = vb * np.conj(phase)
@@ -396,29 +406,34 @@ def ideal_core_half_shifted(core: int, alpha: float) -> np.ndarray:
 # Layered-Gaussian core register (windows as commuting diagonals)
 
 
-def _fill_product(vec: np.ndarray, amps, by_top) -> np.ndarray:
-    """Fill ``vec`` with the product of the per-qubit 2-vectors ``amps``.
-
-    Doubling for bit j fills entries 2**j..2**(j+1)-1; then each window
-    (controls, factor) in ``by_top[j]``, whose highest control is j,
-    multiplies its block of the first 2**(j+1) entries."""
-    vec[0] = 1.0
-    for j, (amp0, amp1) in enumerate(amps):
-        np.multiply(vec[:1 << j], amp1, out=vec[1 << j:2 << j])
-        vec[:1 << j] *= amp0
-        for controls, factor in by_top[j]:
-            _apply_window(vec[:2 << j], controls, factor)
-    return vec
+def _window_pair(gate: Gate, core: int) -> tuple[int, int]:
+    """The control pair j < k of a layer window; only two closed controls
+    on core qubits make the window the factor R[j, k]**(x_j*x_k)."""
+    qubits = sorted(c.qubit for c in gate.controls if c.closed)
+    if len(gate.controls) != 2 or len(qubits) != 2 or qubits[1] >= core:
+        raise ParameterError(
+            "layer windows need two closed controls on core qubits")
+    return qubits[0], qubits[1]
 
 
 class GaussianLayerModel:
     """The core register of a layered Gaussian, prelude plus layers.
 
-    The prelude is a product of per-qubit 2-vectors, and each window is
-    read once as (controls, f_sel/f_rest, f_rest).  The windows commute,
-    so the final state is the same in every layer order; the per-layer
-    success probabilities are not.  The symmetrizing postlude is an
-    isometry, so both equal their full-register values.
+    The prelude is a product of per-qubit 2-vectors a_q, and every window
+    has two closed controls j < k, so it multiplies by the ratio
+    f_sel/f_rest where x_j = x_k = 1 and by f_rest everywhere.  The
+    unnormalized core amplitude is therefore
+
+        prod_q a_q(x_q) * prod_{j<k} R[j, k]**(x_j*x_k)
+
+    times the product of every f_rest, with R[j, k] the product of the
+    ratios of the windows on pair (j, k).  Doubling over bit k fills the
+    upper half as the lower half times a_k(1) times the column
+    prod_{j<k} R[j, k]**x_j, itself doubled over contiguous halves, so no
+    pass over the core is strided.  The windows commute, so the final
+    state is the same in every layer order; the per-layer success
+    probabilities are not.  The symmetrizing postlude is an isometry, so
+    both equal their full-register values.
     """
 
     def __init__(self, layered: LayeredCircuit,
@@ -434,51 +449,77 @@ class GaussianLayerModel:
                 continue  # the top-qubit Hadamard is not part of the core
             mat = _gate_full_matrix(gate, layered.alpha, noise)
             self.qubits[gate.target] = mat @ self.qubits[gate.target]
-        self.layers = []
-        self.by_top = [[] for _ in range(core)]  # windows by highest control
+        self.ratios = np.ones((core, core), dtype=complex)  # R[j, k], j < k
         self.scale = 1.0  # the product of every window's f_rest
+        self.layers = []  # ([(j, k, |ratio|**2)], prod of |f_rest|**2)
         for layer in layered.layers:
-            windows = []
+            windows, rest = [], 1.0
             for gate in layer.gates:
-                top = max((c.qubit for c in gate.controls), default=core)
-                if top >= core:
-                    raise ParameterError(
-                        "layer windows need controls, all on core qubits")
+                j, k = _window_pair(gate, core)
                 f_sel, f_rest = _window_factors(gate, layered.alpha, noise)
-                windows.append((gate.controls, f_sel / f_rest, f_rest))
-                self.by_top[top].append((gate.controls, f_sel / f_rest))
+                self.ratios[j, k] *= f_sel / f_rest
                 self.scale *= f_rest
-            self.layers.append(windows)
+                windows.append((j, k, abs(f_sel / f_rest) ** 2))
+                rest *= abs(f_rest) ** 2
+            self.layers.append((windows, rest))
 
     def state(self) -> np.ndarray:
-        """The normalized core state after all layers, in any order."""
-        # tracemalloc peak: 1.51 and 1.06 states at core 15 and 18 (the
-        # state plus ufunc buffers of the strided window multiplies)
-        _check_capacity(self.core, copies=1.5)
-        state = _fill_product(np.empty(1 << self.core, dtype=complex),
-                              self.qubits, self.by_top)
-        _post_select(state, self.scale)
-        return state
+        """The normalized core state after all layers, in any order.
+
+        Each column a_k(1) * prod_{j<k} R[j, k]**x_j is doubled in place in
+        the upper half it scales, so the state is the only buffer."""
+        _check_capacity(self.core, copies=1.0)  # tracemalloc peak: 1.00
+        vec = np.empty(1 << self.core, dtype=complex)
+        vec[0] = 1.0
+        for k, (amp0, amp1) in enumerate(self.qubits):
+            upper = vec[1 << k:2 << k]
+            upper[0] = amp1
+            for j, ratio in enumerate(self.ratios[:k, k]):
+                np.multiply(upper[:1 << j], ratio, out=upper[1 << j:2 << j])
+            upper *= vec[:1 << k]
+            vec[:1 << k] *= amp0
+        _post_select(vec, self.scale)
+        return vec
 
     def probs(self, order) -> np.ndarray:
         """Each layer's success probability when the layers run in ``order``.
 
-        One pass over the real weights |amplitude|**2: a layer multiplies
-        its windows' |f_sel/f_rest|**2 in, and its probability is the ratio
-        of the weight sums after and before, times its |f_rest|**2.
+        The real weights |amplitude|**2 factor like the amplitudes, with
+        one float64 column per bit k: |a_k(1)|**2 times the |ratio|**2 of
+        each joined window (j, k) where x_j = 1, 2**core - 1 entries in
+        all.  A joining layer multiplies each window into its column once,
+        the weights of the low core - 1 bits are refilled by doubling, and
+        the top bit is summed out against its column.  A layer's
+        probability is the ratio of the weight sums after and before,
+        times its |f_rest|**2.
         """
-        _check_capacity(self.core, copies=0.75)  # peak 0.75 and 0.53 states
-        w = _fill_product(np.empty(1 << self.core), np.abs(self.qubits) ** 2,
-                          [()] * self.core)
-        total = float(w.sum())
+        # tracemalloc peak: 1.01 and 0.78 states at core 15 and 18, the
+        # 0.75 of the columns and the low weights plus the fixed 128 KB
+        # that numpy buffers a strided column multiply through
+        _check_capacity(self.core, copies=1.0)
+        top = self.core - 1
+        weights = (np.abs(self.qubits) ** 2).tolist()
+        columns = [np.full(1 << k, w1) for k, (_, w1) in enumerate(weights)]
+        low = np.empty(1 << top)
+        doublings = [(low[:1 << k], columns[k], low[1 << k:2 << k], w0)
+                     for k, (w0, _) in enumerate(weights[:top])]
+
+        def weight_sum() -> float:
+            low[0] = 1.0
+            for lower, column, upper, w0 in doublings:
+                np.multiply(lower, column, out=upper)
+                lower *= w0
+            return (weights[top][0] * float(low.sum())
+                    + float(low @ columns[top]))
+
+        total = weight_sum()
         out = np.empty(len(order))
         for i, li in enumerate(order):
-            scale = 1.0
-            for controls, ratio, f_rest in self.layers[li]:
-                _apply_window(w, controls, abs(ratio) ** 2)
-                scale *= abs(f_rest) ** 2
-            cur = float(w.sum())
-            out[i] = scale * cur / total
+            windows, rest = self.layers[li]
+            for j, k, ratio2 in windows:
+                columns[k].reshape(-1, 2, 1 << j)[:, 1] *= ratio2
+            cur = weight_sum()
+            out[i] = rest * cur / total
             total = cur
         return out
 

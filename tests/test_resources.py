@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gausskit import simulator
+from gausskit import resources, simulator
 from gausskit.builders import build_poly_phase, layered_full_gaussian
 from gausskit.gates import (Control, Gate, GateKind, GaussianSpec,
                             ParameterError, gate_matrix, rotation_kernel)
@@ -155,10 +155,17 @@ def test_estimate_search_equals_fixed_delta_run(order, alloc):
 
 
 def test_estimate_core_simulation_count(monkeypatch):
-    # 15 bisection candidates build one core state each; the accepted run
-    # takes probabilities in packed order, then in the chosen order, and a
-    # fixed delta builds one state
+    # the unpruned circuit is built once; 15 bisection candidates prune it
+    # and build one core state each; the accepted run takes probabilities
+    # in packed order, then in the chosen order, and a fixed delta builds
+    # one state
     calls = []
+
+    def counting_build(*args):
+        calls.append(("build",))
+        return layered_full_gaussian(*args)
+
+    monkeypatch.setattr(resources, "layered_full_gaussian", counting_build)
     for name in ("state", "probs"):
         method = getattr(simulator.GaussianLayerModel, name)
 
@@ -170,11 +177,12 @@ def test_estimate_core_simulation_count(monkeypatch):
     spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-5)
     rep = estimate(spec, target_error=1e-5, seed=2)
     packed = tuple(range(len(rep.ordering)))
-    assert calls == [("state",)] * 15 + [("probs", packed),
-                                         ("probs", rep.ordering)]
+    assert calls == [("build",)] + [("state",)] * 15 + [
+        ("probs", packed), ("probs", rep.ordering)]
     calls.clear()
     rep = estimate(spec, seed=2)
-    assert calls == [("state",), ("probs", packed), ("probs", rep.ordering)]
+    assert calls == [("build",), ("state",), ("probs", packed),
+                     ("probs", rep.ordering)]
 
 
 def test_estimate_error_is_the_same_in_every_order():
