@@ -99,8 +99,9 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
     q = _ints(qform, 3, "--q")
     build, _ = FAMILIES[family]
     try:
-        if beta is not None and alpha is None:
-            alpha = GaussianSpec(n_qubits=sum(ns), beta=beta).derived_alpha
+        if beta is not None:
+            alpha = GaussianSpec(n_qubits=sum(ns), alpha=alpha,
+                                 beta=beta).derived_alpha
         if alpha is None:
             raise click.UsageError("provide --alpha or --beta")
         circuit = build(ns, alpha, degree, q, layered)
@@ -266,9 +267,9 @@ def _file_registers(circuit, n_spec, family, alpha, beta) -> tuple[int, ...]:
 @click.option("--alloc", type=click.Choice(["uniform", "2to1"]), default="2to1")
 @click.option("--order", type=click.Choice(["optimal", "random", "identity"]),
               default="optimal")
-@click.option("--trials", type=int, default=1)
+@click.option("--trials", type=click.IntRange(min=1), default=1)
 @click.option("--seed", type=int, default=0)
-@click.option("--threads", type=int, default=1)
+@click.option("--threads", type=click.IntRange(min=1), default=1)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
           trials, seed, threads, out) -> None:
@@ -279,10 +280,11 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
         grids = [_parse_axis(a) for a in axes]
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if not grids:
-        grids = [("delta", np.array([delta if delta is not None else 1e-6]))]
     fixed = {"alpha": alpha, "beta": beta, "delta": delta,
              "n": _ints(n_spec, 1, "--n")[0] if n_spec else None}
+    _check_overrides([name for name, _ in grids], fixed, couple_alpha)
+    if not grids:
+        grids = [("delta", np.array([delta if delta is not None else 1e-6]))]
 
     points = []
     shape = [len(g[1]) for g in grids]
@@ -322,6 +324,22 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
         writer.writerow(CSV_COLUMNS)
         writer.writerows(all_rows)
         click.echo(buf.getvalue(), nl=False)
+
+
+def _check_overrides(names, fixed, couple_alpha) -> None:
+    """Reject a ``sweep`` value that an axis or --couple-alpha would replace."""
+    if len(set(names)) != len(names):
+        raise click.UsageError(f"two axes named {names[0]!r}")
+    for name in names:
+        if fixed[name] is not None:
+            raise click.BadParameter(f"conflicts with the {name} axis",
+                                     param_hint=f"--{name}")
+    if couple_alpha:
+        for name in ("alpha", "beta"):
+            if fixed[name] is not None or name in names:
+                raise click.UsageError(
+                    f"--couple-alpha derives alpha; give no {name} value "
+                    "or axis")
 
 
 def _sweep_row(params, couple_alpha, alloc, order, point_seed):

@@ -231,8 +231,8 @@ def gate_matrix(gate: Gate, alpha: float) -> np.ndarray:
 class GaussianSpec:
     """Target parameters of the full n-qubit Gaussian that ``estimate`` prices.
 
-    Either ``alpha`` (discretization base) or ``beta`` (fixed-window form,
-    amplitude-squared ratio between peak and edge) must be given; with
+    Exactly one of ``alpha`` (discretization base) or ``beta`` (fixed-window
+    form, amplitude-squared ratio between peak and edge) is given; with
     ``beta``, alpha is derived as beta**(1/(N-1)**2) so that
     alpha**((N-1)**2) round-trips to beta.
     """
@@ -248,6 +248,8 @@ class GaussianSpec:
             raise ParameterError("n_qubits must be at least 2")
         if not (0.0 < self.gate_error < 1.0):
             raise ParameterError("gate_error must lie in (0, 1)")
+        if self.alpha is not None and self.beta is not None:
+            raise ParameterError("give alpha or beta, not both")
         if self.beta is not None:
             if not (0.0 < self.beta < 1.0):
                 raise ParameterError("beta must lie in (0, 1)")

@@ -4,21 +4,19 @@ packing, and measurement-order optimization.
 The error-allocation policy is the uniform 2:1 heuristic (uncontrolled
 rotations twice as accurate as controlled ones); the fully general
 constrained optimization is out of scope since its payoff is below one
-percent of T-depth.
+percent of T-depth.  ``ErrorBudget.delta_for`` gives each gate its
+accuracy; pruning, the noise draws and flat-circuit pricing all read it.
 """
 from __future__ import annotations
 
-import itertools
-import logging
 import math
 from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
 from .circuit import Circuit, Layer, LayeredCircuit, MeasureBarrier
-from .gates import Gate, GateKind, ParameterError, a_xh_distance, alpha_power
-
-log = logging.getLogger(__name__)
+from .gates import (CLIFFORD_KINDS, Gate, GateKind, ParameterError,
+                    a_xh_distance, alpha_power)
 
 
 @dataclass(frozen=True)
@@ -43,50 +41,35 @@ class ErrorBudget:
     def uniform(cls, delta: float) -> "ErrorBudget":
         return cls(delta_gate=delta, delta_single=delta, delta_controlled=delta)
 
+    def delta_for(self, gate: Gate) -> float:
+        """Synthesis accuracy of ``gate``: Cliffords are exact, a rotation
+        with controls gets the controlled budget, any other the single."""
+        if gate.kind in CLIFFORD_KINDS:
+            return 0.0
+        return self.delta_controlled if gate.controls else self.delta_single
+
 
 class DivergentCostError(ValueError):
     """Expected cost is infinite (some layer can never succeed)."""
 
 
-class ThresholdRangeError(OverflowError):
-    """alpha is so close to 1 that the threshold argument overflows."""
-
-
 def qubit_threshold(alpha: float, delta: float) -> int:
     """Number of data qubits whose rotations stay more than delta from identity.
 
-    Largest n with alpha**(2**(n-1) + 4**(n-1)) > delta, which closes to
-    floor(log2(sqrt(1 + 4*log(delta)/log(alpha)) - 1)).  The closed form
-    is cross-checked against the defining condition; on the rare float
-    boundary where they disagree the direct value wins.
+    The smallest n with alpha**(2**n + 4**n) <= delta: qubit j's merged
+    rotation has exponent 2**j + 4**j, so qubits 0..n-1 are significant.
+    In closed form n = max(0, floor(log2(sqrt(1 + 4*log(delta)/log(alpha))
+    - 1))), up to float rounding at the boundary; the scan is the
+    definition.  For alpha and delta in (0, 1) it ends by n = 32, since
+    |log(delta)| <= 745 and |log(alpha)| >= 1.1e-16.
     """
     if not (0.0 < alpha < 1.0) or not (0.0 < delta < 1.0):
         raise ParameterError("alpha and delta must lie in (0, 1)")
     log_alpha = math.log(alpha)
-    if log_alpha == 0.0:
-        raise ThresholdRangeError("alpha rounds to 1; threshold overflows")
-    ratio = math.log(delta) / log_alpha
-    arg = math.sqrt(1.0 + 4.0 * ratio) - 1.0
-    if not math.isfinite(arg):
-        raise ThresholdRangeError("threshold argument overflows float range")
-    closed = max(0, math.floor(math.log2(arg))) if arg > 1e-300 else 0
-    direct = _threshold_direct(log_alpha, delta)
-    if closed != direct:
-        log.warning("qubit_threshold closed form %d != direct condition %d; "
-                    "using direct", closed, direct)
-        return direct
-    return closed
-
-
-def _threshold_direct(log_alpha: float, delta: float) -> int:
     n = 0
-    while True:
-        exponent = 2.0 ** n + 4.0 ** n  # qubit index n-1 uses 2**(n-1)+4**(n-1)
-        if math.exp(log_alpha * exponent) <= delta:
-            return n
+    while math.exp(log_alpha * (2.0 ** n + 4.0 ** n)) > delta:
         n += 1
-        if n > 64:
-            raise ThresholdRangeError("threshold exceeds 64 qubits")
+    return n
 
 
 @dataclass(frozen=True)
@@ -100,8 +83,9 @@ class PruneResult:
 
 
 def _prune_elements(elements, alpha, budget):
-    """Shared gate-level pruning: drop near-identity windows, swap
-    near-XH rotations for exact XH (H then X)."""
+    """Shared gate-level pruning: drop controlled windows within their
+    budget of the identity, swap A rotations within their budget of XH for
+    exact XH (H then X)."""
     out = []
     removed: set[int] = set()
     n_removed = n_replaced = 0
@@ -114,12 +98,12 @@ def _prune_elements(elements, alpha, budget):
         gate = elem
         if gate.kind is GateKind.B and gate.controls:
             deviation = 1.0 - alpha_power(alpha, gate.exponent)
-            if deviation < budget.delta_controlled:
+            if deviation < budget.delta_for(gate):
                 removed.add(gate.target)
                 n_removed += 1
                 continue
         elif gate.kind is GateKind.A:
-            if a_xh_distance(alpha, gate.exponent) < budget.delta_single:
+            if a_xh_distance(alpha, gate.exponent) < budget.delta_for(gate):
                 out.append(Gate(GateKind.H, gate.target))
                 out.append(Gate(GateKind.X, gate.target))
                 n_replaced += 1
@@ -138,17 +122,15 @@ def prune_circuit(circuit: Circuit, budget: ErrorBudget
 
 def prune_layered(layered: LayeredCircuit, budget: ErrorBudget
                   ) -> tuple[LayeredCircuit, PruneResult]:
+    """Prune the prelude and each layer by the ``prune_circuit`` rules;
+    a layer left with no window is dropped."""
     alpha = layered.alpha
     pre, _, n_replaced = _prune_elements(layered.prelude.elements, alpha, budget)
     layers = []
     n_removed = 0
     for layer in layered.layers:
-        keep = []
-        for gate in layer.gates:
-            if 1.0 - alpha_power(alpha, gate.exponent) < budget.delta_controlled:
-                n_removed += 1
-            else:
-                keep.append(gate)
+        keep, removed, _ = _prune_elements(layer.gates, alpha, budget)
+        n_removed += removed
         if keep:
             layers.append(Layer(gates=tuple(keep)))
     pruned = LayeredCircuit(
@@ -217,33 +199,25 @@ class OrderingPlan:
 
 
 def order_layers(layers: list[tuple[float, float]]) -> OrderingPlan:
-    """Pick the layer execution order minimizing expected T-depth.
+    """The layer execution order minimizing expected T-depth.
 
-    Equal-cost layers (the usual case: every controlled rotation is
-    synthesized to the same accuracy) sort by increasing success
-    probability, so the riskiest layers run first.  Mixed costs fall back
-    to exhaustive search up to 8 layers, or to the exchange-criterion sort
-    by n_k/(1-p_k) beyond that.  Ties break by original index.
+    Running layer a just before layer b costs n_a + p_a*n_b against
+    n_b + p_b*n_a the other way round, so a goes first exactly when
+    n_a/(1-p_a) <= n_b/(1-p_b) (inf for p = 1), and sorting by that ratio
+    is optimal for any number of layers.  With equal costs it runs the
+    riskiest layers first.  Rounding can merge the ratios of two distinct
+    probabilities, so ties break by probability, then by original index.
     """
     if not layers:
         raise ParameterError("need at least one layer")
-    n_values = [n for n, _ in layers]
-    idx = range(len(layers))
-    if max(n_values) - min(n_values) <= 1e-12 * max(1.0, abs(max(n_values))):
-        perm = tuple(sorted(idx, key=lambda i: (layers[i][1], i)))
-    elif len(layers) <= 8:
-        def cost(p):
-            return expected_t_depth(0.0, [layers[i] for i in p])
 
-        perm = min(itertools.permutations(idx), key=lambda p: (cost(p), p))
-    else:
-        def ratio(i):
-            n_k, p_k = layers[i]
-            return n_k / (1.0 - p_k) if p_k < 1.0 else math.inf
+    def key(i):
+        n_k, p_k = layers[i]
+        return (n_k / (1.0 - p_k) if p_k < 1.0 else math.inf, p_k, i)
 
-        perm = tuple(sorted(idx, key=lambda i: (ratio(i), i)))
+    perm = tuple(sorted(range(len(layers)), key=key))
     return OrderingPlan(
-        permutation=tuple(perm),
+        permutation=perm,
         predicted_expected_t_depth=expected_t_depth(
             0.0, [layers[i] for i in perm]),
     )

@@ -110,9 +110,7 @@ def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:
             continue
         if elem.kind in CLIFFORD_KINDS:
             continue
-        eps = (budget.delta_single if not elem.controls
-               else budget.delta_controlled)
-        _, depth = gate_t_cost(elem, eps)
+        _, depth = gate_t_cost(elem, budget.delta_for(elem))
         if stage_qubits & set(elem.qubits):
             flush()
         stage_cost = max(stage_cost, depth)

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
-from .gates import (CLIFFORD_KINDS, Gate, GateKind, ParameterError,
-                    gate_matrix, rotation_kernel)
+from .gates import (Gate, GateKind, ParameterError, gate_matrix,
+                    rotation_kernel)
 from .optimizer import ErrorBudget
 
 MAX_QUBITS = 26
@@ -105,12 +105,6 @@ def _embed_target_perturbation(p: np.ndarray, n_controls: int) -> np.ndarray:
     return np.kron(p, np.eye(1 << n_controls, dtype=complex))
 
 
-def _noise_delta(gate: Gate, budget: ErrorBudget) -> float:
-    if gate.kind in CLIFFORD_KINDS:
-        return 0.0
-    return budget.delta_single if not gate.controls else budget.delta_controlled
-
-
 def realize_noise(gates, budget: ErrorBudget,
                   rng: np.random.Generator) -> NoiseRealization:
     """Draw one target perturbation per rotation gate, keyed by the gate.
@@ -120,7 +114,7 @@ def realize_noise(gates, budget: ErrorBudget,
     """
     realization: NoiseRealization = {}
     for gate in gates:
-        delta = _noise_delta(gate, budget)
+        delta = budget.delta_for(gate)
         if delta > 0.0:
             realization[gate] = sample_perturbation(delta, rng)
     return realization

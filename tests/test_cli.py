@@ -235,6 +235,41 @@ def test_simulate_rejects_options_the_branch_ignores(runner, layered_file,
     assert extra[0] in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["generate", "--family", "gaussian", "--n", "6"],
+    ["simulate", "--n", "6"],
+    ["sweep", "--n", "6", "--delta", "1e-5"],
+], ids=["generate", "simulate", "sweep"])
+def test_alpha_with_beta_usage_error_exit_2(runner, args):
+    result = runner.invoke(main, [*args, "--alpha", "0.9", "--beta", "0.5"])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "not both" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--axis", "delta=1e-6:1e-5:2", "--delta", "0.3", "--alpha", "0.99"],
+    ["--axis", "alpha=0.9:0.99:2", "--alpha", "0.95", "--delta", "1e-5"],
+    ["--axis", "beta=0.1:0.2:2", "--beta", "0.3", "--n", "5",
+     "--delta", "1e-5"],
+    ["--axis", "n=5:6:2:lin", "--n", "6", "--alpha", "0.99"],
+    ["--axis", "n=5:7:3:lin", "--axis", "n=5:7:2:lin", "--alpha", "0.99"],
+    ["--couple-alpha", "--alpha", "0.9"],
+    ["--couple-alpha", "--beta", "0.1", "--n", "5"],
+    ["--couple-alpha", "--axis", "alpha=0.9:0.99:2"],
+    ["--couple-alpha", "--axis", "beta=0.1:0.2:2", "--n", "5"],
+    ["--trials", "0", "--alpha", "0.99"],
+    ["--threads", "0", "--alpha", "0.99"],
+], ids=["delta-axis", "alpha-axis", "beta-axis", "n-axis", "same-axis-twice",
+        "couple-alpha", "couple-beta", "couple-alpha-axis", "couple-beta-axis",
+        "trials-0", "threads-0"])
+def test_sweep_rejects_options_it_would_ignore(runner, args):
+    result = runner.invoke(main, ["sweep", *args])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert "n_qubits" not in result.output
+
+
 def test_readme_cli_examples_run(runner, tmp_path, monkeypatch):
     # every `gausskit ...` line of README's CLI block, in order
     readme = (Path(__file__).parents[1] / "README.md").read_text()

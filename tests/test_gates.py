@@ -158,4 +158,6 @@ def test_gaussian_spec_validation():
         GaussianSpec(n_qubits=4)  # neither alpha nor beta
     with pytest.raises(ParameterError):
         GaussianSpec(n_qubits=4, alpha=0.5, gate_error=0.0)
+    with pytest.raises(ParameterError):
+        GaussianSpec(n_qubits=4, alpha=0.5, beta=0.1)  # both alpha and beta
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausskit.builders import build_full_gaussian, layered_full_gaussian
-from gausskit.gates import ParameterError, a_xh_distance
+from gausskit.gates import (Control, Gate, GateKind, ParameterError,
+                            a_xh_distance)
 from gausskit.optimizer import (
     DivergentCostError,
     ErrorBudget,
@@ -129,6 +130,21 @@ def test_order_layers_brute_force_optimal_small():
         assert plan.predicted_expected_t_depth == pytest.approx(best, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_layers, seed, certain", [
+    (7, 11, False), (7, 12, True), (8, 13, False), (8, 14, True)])
+def test_order_layers_brute_force_optimal_seven_and_eight(n_layers, seed,
+                                                         certain):
+    rng = np.random.default_rng(seed)
+    layers = [(float(rng.uniform(1, 10)), float(rng.uniform(0.3, 1.0)))
+              for _ in range(n_layers)]
+    if certain:
+        layers[int(rng.integers(n_layers))] = (float(rng.uniform(1, 10)), 1.0)
+    plan = order_layers(layers)
+    best = min(expected_t_depth(0.0, [layers[i] for i in p])
+               for p in itertools.permutations(range(n_layers)))
+    assert plan.predicted_expected_t_depth == pytest.approx(best, rel=1e-12)
+
+
 def test_order_layers_equal_costs_never_beaten():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -165,6 +181,14 @@ def test_error_budget_allocations():
     assert b.delta_controlled == 2e-4
     u = ErrorBudget.uniform(1e-4)
     assert u.delta_controlled == 1e-4
+    clifford = Gate(GateKind.CNOT, 0, controls=(Control(1),))
+    single = Gate(GateKind.A, 0, exponent=1.0)
+    controlled = Gate(GateKind.B, 2, exponent=1.0,
+                      controls=(Control(0), Control(1)))
+    assert [b.delta_for(g) for g in (clifford, single, controlled)] == [
+        0.0, 1e-4, 2e-4]
+    assert [u.delta_for(g) for g in (clifford, single, controlled)] == [
+        0.0, 1e-4, 1e-4]
 
 
 def test_prune_removes_near_identity_windows():
