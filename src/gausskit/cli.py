@@ -15,10 +15,12 @@ import concurrent.futures
 import csv
 import io
 import math
+import os
 import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import builders, optimizer, resources, simulator, textio
 from .gates import GaussianSpec, ParameterError
@@ -48,29 +50,51 @@ def _ints(value: str, count: int, option: str) -> tuple[int, ...]:
     return ints
 
 
-# family -> (build(ns, alpha, d, q, layered), ideal(ns, alpha, d, q, tail)):
-# ns are the register sizes (n_x, n_y for gaussian2d), d the phase degree,
-# q the 2-D quadratic form, tail the ideal's normalization; ideal() is the
-# target that simulate FILE --family compares to
+# family -> (build(ns, alpha, d, q, layered), ideal(ns, alpha, d, q, tail),
+# reads): ns are the register sizes (n_x, n_y for gaussian2d), d the phase
+# degree, q the 2-D quadratic form, tail the ideal's normalization; ideal()
+# is the target that simulate FILE --family compares to, and reads names
+# the parameters among degree, qform, layered and tail that the family uses
 FAMILIES = {
     "phase": (
         lambda ns, a, d, q, layered: builders.build_poly_phase(ns[0], a, d),
-        lambda ns, a, d, q, tail: simulator.ideal_phase_state(ns[0], a, d)),
+        lambda ns, a, d, q, tail: simulator.ideal_phase_state(ns[0], a, d),
+        {"degree"}),
     "exponential": (
         lambda ns, a, d, q, layered: builders.build_exponential(ns[0], a),
-        lambda ns, a, d, q, tail: simulator.ideal_exponential(ns[0], a)),
+        lambda ns, a, d, q, tail: simulator.ideal_exponential(ns[0], a),
+        set()),
     "half-gaussian": (
         lambda ns, a, d, q, layered: builders.build_half_gaussian(ns[0], a),
-        lambda ns, a, d, q, tail: simulator.ideal_half_gaussian(ns[0], a, tail)),
+        lambda ns, a, d, q, tail: simulator.ideal_half_gaussian(ns[0], a, tail),
+        {"tail"}),
     "gaussian": (
         lambda ns, a, d, q, layered: (
             builders.layered_full_gaussian(ns[0], a).to_circuit() if layered
             else builders.build_full_gaussian(ns[0], a)),
-        lambda ns, a, d, q, tail: simulator.ideal_gaussian(ns[0], a, tail)),
+        lambda ns, a, d, q, tail: simulator.ideal_gaussian(ns[0], a, tail),
+        {"layered", "tail"}),
     "gaussian2d": (
         lambda ns, a, d, q, layered: builders.build_gaussian_2d(*ns, q, a),
-        lambda ns, a, d, q, tail: simulator.ideal_gaussian_2d(*ns, q, a)),
+        lambda ns, a, d, q, tail: simulator.ideal_gaussian_2d(*ns, q, a),
+        {"qform"}),
 }
+
+
+def _unread_by(family: str, names) -> dict[str, str]:
+    """The parameters among ``names`` that ``family`` does not use."""
+    return {name: f"has no effect with --family {family}"
+            for name in names if name not in FAMILIES[family][2]}
+
+
+def _reject_given(unread: dict[str, str]) -> None:
+    """Exit 2 on an option given on the command line that the chosen branch
+    does not read; ``unread`` maps a parameter name to the reason."""
+    ctx = click.get_current_context()
+    params = {p.name: p for p in ctx.command.params}
+    for name, reason in unread.items():
+        if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            raise click.BadParameter(reason, ctx=ctx, param=params[name])
 
 
 def _registers(n_spec: str, family: str | None) -> tuple[int, ...]:
@@ -97,7 +121,8 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
     """Build a circuit and write it in the textual format."""
     ns = _registers(n_spec, family)
     q = _ints(qform, 3, "--q")
-    build, _ = FAMILIES[family]
+    _reject_given(_unread_by(family, ("degree", "qform", "layered")))
+    build = FAMILIES[family][0]
     try:
         if beta is not None:
             alpha = GaussianSpec(n_qubits=sum(ns), alpha=alpha,
@@ -127,15 +152,16 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
 @click.option("--alpha", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--delta", type=float, default=0.0, help="per-gate noise budget")
-@click.option("--alloc", type=click.Choice(["uniform", "2to1"]), default=None,
+@click.option("--alloc", type=click.Choice(["uniform", "2to1"]),
+              default="2to1",
               help="budget split  [default: 2to1; needs --delta]")
 @click.option("--order", type=click.Choice(["optimal", "random", "identity"]),
-              default=None,
+              default="optimal",
               help="layer order  [default: optimal; needs --delta, no file]")
 @click.option("--ideal", "tail", type=click.Choice(["finite", "infinite"]),
               default="finite",
               help="reference convention for circuit-file comparisons")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=0,
               help="noise seed  [default: 0; needs --delta]")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="append one CSV row here")
@@ -148,14 +174,27 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     the family's register sizes, which must sum to the file's ``data=``.
     ``--delta`` draws gate noise from ``--seed``; a run without it is
     noiseless and takes no ``--alloc``, ``--order`` or ``--seed``, and a
-    file fixes its own layer order, so it takes no ``--order``.
+    file fixes its own layer order, so it takes no ``--order``.  Only a
+    file is compared against a ``--family`` target, and only with one is
+    ``--d``, ``--q`` or ``--ideal`` read, where that family uses it.
     """
     q = _ints(qform, 3, "--q")
-    _check_used(circuit_file is not None, delta != 0.0,
-                {"--alloc": alloc, "--order": order, "--seed": seed})
-    alloc = alloc or "2to1"
-    order = order or "optimal"
-    seed = 0 if seed is None else seed
+    unread = {}
+    if delta == 0.0:
+        unread |= dict.fromkeys(("alloc", "order", "seed"),
+                                "has no effect without --delta")
+    elif circuit_file is not None:
+        unread["order"] = ("has no effect on a circuit file, which fixes its "
+                           "layer order")
+    targets = ("degree", "qform", "tail")
+    if circuit_file is None:
+        unread |= dict.fromkeys(("family", *targets),
+                                "applies only to a circuit file")
+    elif family is None:
+        unread |= dict.fromkeys(targets, "has no effect without --family")
+    else:
+        unread |= _unread_by(family, targets)
+    _reject_given(unread)
     if circuit_file is None:
         if n_spec is None:
             raise click.UsageError(
@@ -176,7 +215,7 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
             state, rep = simulator.simulate_postselected(circuit, noise=noise)
             eps = math.nan
             if family is not None:
-                _, ideal = FAMILIES[family]
+                ideal = FAMILIES[family][1]
                 eps = simulator.l2_error(ideal(ns, alpha, degree, q, tail),
                                          state.amplitudes)
             gamma = rep.subnormalization
@@ -219,20 +258,6 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
         _append_csv(out, [row])
 
 
-def _check_used(has_file: bool, noisy: bool, given: dict) -> None:
-    """Reject an option that the chosen ``simulate`` branch would ignore."""
-    for option, value in given.items():
-        if value is None:
-            continue
-        if not noisy:
-            raise click.BadParameter("has no effect without --delta",
-                                     param_hint=option)
-        if has_file and option == "--order":
-            raise click.BadParameter(
-                "has no effect on a circuit file, which fixes its layer order",
-                param_hint=option)
-
-
 def _file_registers(circuit, n_spec, family, alpha, beta) -> tuple[int, ...]:
     """Check the options a circuit file fixes; return the register sizes."""
     if beta is not None:
@@ -268,7 +293,7 @@ def _file_registers(circuit, n_spec, family, alpha, beta) -> tuple[int, ...]:
 @click.option("--order", type=click.Choice(["optimal", "random", "identity"]),
               default="optimal")
 @click.option("--trials", type=click.IntRange(min=1), default=1)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--threads", type=click.IntRange(min=1), default=1)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
@@ -295,11 +320,16 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
             params[name] = float(values[c]) if name != "n" else int(values[c])
         points.append((flat, params))
 
+    # trial t of point i draws (seed ^ i) + t * stride: seed ^ i only
+    # changes the bits below stride, so no two rows share a seed, and trial
+    # 0 keeps seed ^ i
+    stride = 1 << (len(points) - 1).bit_length()
+
     def run_point(item):
         flat, params = item
         rows = []
         for trial in range(trials):
-            point_seed = (seed ^ flat) + trial
+            point_seed = (seed ^ flat) + trial * stride
             rows.append(_sweep_row(params, couple_alpha, alloc, order,
                                    point_seed))
         return flat, rows
@@ -317,7 +347,7 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
     results.sort(key=lambda r: r[0])
     all_rows = [row for _, rows in results for row in rows]
     if out:
-        _append_csv(out, all_rows, header=True)
+        _append_csv(out, all_rows)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -389,9 +419,7 @@ def _parse_axis(text: str):
     return name, values
 
 
-def _append_csv(path, rows, header: bool = False) -> None:
-    import os
-
+def _append_csv(path, rows) -> None:
     new_file = not os.path.exists(path)
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -188,45 +188,6 @@ def format_exponent(m: float) -> str:
     return repr(float(m))
 
 
-def gate_matrix(gate: Gate, alpha: float) -> np.ndarray:
-    """Full unitary of ``gate`` on (target, controls...) with target as MSB.
-
-    Qubit order within the matrix is ``gate.qubits``: a single-controlled
-    B in basis |target control> acts as B on the control's |1> block.
-    """
-    kernel = rotation_kernel(gate.kind, gate.exponent, alpha)
-    n = 1 + len(gate.controls)
-    if gate.kind is GateKind.CNOT:
-        n = 2
-    dim = 1 << n
-    mat = np.eye(dim, dtype=complex)
-    if gate.kind is GateKind.CNOT:
-        ctl = gate.controls[0]
-        want = 1 if ctl.closed else 0
-        for c in (0, 1):
-            if c != want:
-                continue
-            # rows/cols where control bit (LSB) == c
-            i0, i1 = c, 2 + c
-            mat[np.ix_([i0, i1], [i0, i1])] = X_MATRIX
-        return mat
-    # target is the most significant bit; controls follow in order
-    n_ctl = len(gate.controls)
-    for basis in range(1 << n_ctl):
-        ok = True
-        for pos, ctl in enumerate(gate.controls):
-            bit = (basis >> (n_ctl - 1 - pos)) & 1
-            if bit != (1 if ctl.closed else 0):
-                ok = False
-                break
-        if not ok:
-            continue
-        i0 = basis            # target 0
-        i1 = (1 << n_ctl) + basis  # target 1
-        mat[np.ix_([i0, i1], [i0, i1])] = kernel
-    return mat
-
-
 @dataclass(frozen=True)
 class GaussianSpec:
     """Target parameters of the full n-qubit Gaussian that ``estimate`` prices.

@@ -21,8 +21,6 @@ from .gates import (CLIFFORD_KINDS, ROTATION_KINDS, Gate, GaussianSpec,
 from .optimizer import (ErrorBudget, expected_t_depth, order_layers,
                         prune_layered)
 
-TOFFOLI_PAIR_T = 4.0
-
 
 class CostModel:
     """T-count of a rotation synthesized to accuracy epsilon, by control count."""

@@ -7,8 +7,7 @@ Three engines, one job each:
   It is the oracle for the other two.
 * ``simulate_postselected`` runs any flat circuit on the data register
   alone: an ancilla-targeted window multiplies the control-satisfied
-  block of the state in place through one strided kernel, which is what
-  makes 20+ qubit runs cheap.
+  block of the state in place, which is what makes 20+ qubit runs cheap.
 * ``GaussianLayerModel`` runs the core register of a layered Gaussian.
   Each window is a factor R[j, k]**(x_j*x_k) on a pair of core bits, so
   the windows commute: ``state()`` builds the one final state of every
@@ -17,8 +16,12 @@ Three engines, one job each:
   probabilities of an order from the real weights |amplitude|**2 the
   same way, a layer at a time.
 
-Every engine records one success probability per barrier; their product
-is the squared subnormalization of the preparation.
+The flat engines touch a state only through ``_block``, the strided view
+that fixes some bits and leaves the rest free: a gate applies its 2x2
+kernel to the target inside the control-satisfied block, a window
+multiplies that block, and a barrier keeps the block where its ancilla
+read 0.  Every engine records one success probability per barrier; their
+product is the squared subnormalization of the preparation.
 
 Noise is a ``NoiseRealization`` from ``realize_noise``: one random target
 perturbation per rotation gate, which every engine applies the same way.
@@ -36,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
-from .gates import (Gate, GateKind, ParameterError, gate_matrix,
-                    rotation_kernel)
+from .gates import Gate, GateKind, ParameterError, rotation_kernel
 from .optimizer import ErrorBudget
 
 MAX_QUBITS = 26
@@ -47,7 +49,11 @@ class CapacityError(RuntimeError):
     """The simulation would exceed the qubit or memory budget."""
 
 
-def _check_capacity(n_bits: int, copies: float = 4) -> None:
+def _check_capacity(n_bits: int, copies: float = 2.5) -> None:
+    # the default is the flat engines' tracemalloc peak in states of n_bits
+    # (full Gaussian post-selected, half Gaussian exact): 2.50 at 15 bits,
+    # 2.25 at 16 and 2.02 at 20, two states plus the fixed 256 KB that
+    # numpy buffers a strided in-place multiply through
     if n_bits > MAX_QUBITS:
         raise CapacityError(
             f"{n_bits} qubits exceeds the {MAX_QUBITS}-qubit simulator budget")
@@ -100,11 +106,6 @@ def sample_perturbation(delta: float, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _embed_target_perturbation(p: np.ndarray, n_controls: int) -> np.ndarray:
-    """Lift a 2x2 target perturbation to the gate's full space (target = MSB)."""
-    return np.kron(p, np.eye(1 << n_controls, dtype=complex))
-
-
 def realize_noise(gates, budget: ErrorBudget,
                   rng: np.random.Generator) -> NoiseRealization:
     """Draw one target perturbation per rotation gate, keyed by the gate.
@@ -120,35 +121,49 @@ def realize_noise(gates, budget: ErrorBudget,
     return realization
 
 
-def _apply_unitary(state: np.ndarray, mat: np.ndarray,
-                   positions: list[int], total_bits: int) -> np.ndarray:
-    """Apply mat to the bits at ``positions`` (matrix qubit 0 = its MSB)."""
-    k = len(positions)
-    if k == 1:
-        # sliced in-place update avoids the transpose copies of the
-        # general path; this is the hot loop of large prelude registers
-        q = positions[0]
-        view = state.reshape(-1, 2, 1 << q)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-        view[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
-        return state
-    t = state.reshape([2] * total_bits)
-    axes = [total_bits - 1 - p for p in positions]
-    t = np.moveaxis(t, axes, range(k))
-    shape = t.shape
-    t = (mat @ t.reshape(1 << k, -1)).reshape(shape)
-    t = np.moveaxis(t, range(k), axes)
-    return t.reshape(-1)
+def _block(vec: np.ndarray, fixed) -> np.ndarray:
+    """The strided view of ``vec`` where each (bit, value) of ``fixed`` holds.
+
+    Fixed bits k > j view the 2**n vector as (2**(n-k-1), 2, 2**(k-j-1), 2,
+    2**j) and index each fixed axis at its value: no mask and no copy."""
+    hi = vec.size.bit_length() - 1
+    shape, index = [], []
+    for bit, value in sorted(fixed, reverse=True):
+        shape += [1 << (hi - bit - 1), 2]
+        index += [slice(None), value]
+        hi = bit
+    return vec.reshape(*shape, 1 << hi)[(*index, slice(None))]
 
 
-def _gate_full_matrix(gate: Gate, alpha: float,
-                      noise: NoiseRealization | None) -> np.ndarray:
-    mat = gate_matrix(gate, alpha)
-    if noise and gate in noise:
-        mat = _embed_target_perturbation(noise[gate], len(gate.controls)) @ mat
-    return mat
+def _rotate(vec: np.ndarray, mat: np.ndarray, target: int, fixed) -> None:
+    """Apply the 2x2 ``mat`` to bit ``target`` of the block ``fixed`` selects,
+    in place through one saved half; each entry of ``mat`` is the left
+    operand of its product, as a fused multiply-add does not commute."""
+    lo = _block(vec, [*fixed, (target, 0)])
+    hi = _block(vec, [*fixed, (target, 1)])
+    a = lo.copy()
+    np.multiply(mat[0, 0], lo, out=lo)
+    lo += mat[0, 1] * hi
+    np.multiply(mat[1, 0], a, out=a)
+    np.multiply(mat[1, 1], hi, out=hi)
+    hi += a
+
+
+def _apply_gate(vec: np.ndarray, gate: Gate, alpha: float,
+                noise: NoiseRealization | None, pos=lambda q: q) -> None:
+    """Apply ``gate`` and its noise to ``vec`` in place, qubit q on bit pos(q):
+    the kernel K on the target inside the control-satisfied block, then the
+    perturbation P on the target everywhere (one kernel P @ K without
+    controls)."""
+    kernel = rotation_kernel(gate.kind, gate.exponent, alpha)
+    p = noise.get(gate) if noise else None
+    target = pos(gate.target)
+    fixed = [(pos(c.qubit), int(c.closed)) for c in gate.controls]
+    if p is not None and not fixed:
+        kernel, p = p @ kernel, None
+    _rotate(vec, kernel, target, fixed)
+    if p is not None:
+        _rotate(vec, p, target, [])
 
 
 def simulate_exact(circuit: Circuit,
@@ -185,15 +200,11 @@ def simulate_exact(circuit: Circuit,
             if not live:
                 probs.append(1.0)
                 continue
-            t = state.reshape([2] * total)
-            idx = [slice(None)] * total
-            for a in live:
-                idx[total - 1 - position[a]] = 0
-            kept = t[tuple(idx)].reshape(-1)
-            p = float(np.vdot(kept, kept).real)
+            state = _block(state, [(position[a], 0) for a in live]).reshape(-1)
+            p = float(np.vdot(state, state).real)
             if p <= 0.0:
                 raise ParameterError("post-selection branch has zero amplitude")
-            state = kept / math.sqrt(p)
+            state = state / math.sqrt(p)
             probs.append(p)
             dropped = sorted(position[a] for a in live)
             for a in live:
@@ -202,9 +213,9 @@ def simulate_exact(circuit: Circuit,
                 position[a] = pp - sum(1 for d in dropped if d < pp)
             total -= len(live)
             continue
-        positions = [pos_of(q) for q in elem.qubits]
-        mat = _gate_full_matrix(elem, circuit.alpha, noise)
-        state = _apply_unitary(state, mat, positions, total)
+        for q in elem.qubits:
+            pos_of(q)  # materialize before the gate takes its view
+        _apply_gate(state, elem, circuit.alpha, noise, pos_of)
 
     if position:
         raise ParameterError(
@@ -217,18 +228,8 @@ def simulate_exact(circuit: Circuit,
 
 
 def _apply_window(vec: np.ndarray, controls, factor) -> None:
-    """Multiply the control-satisfied block of ``vec`` by ``factor`` in place.
-
-    Controls on bits k > j view the 2**n vector as (2**(n-k-1), 2,
-    2**(k-j-1), 2, 2**j) and fix each control axis at 1 (closed) or 0
-    (open): a strided view, with no mask and no copy."""
-    hi = vec.size.bit_length() - 1
-    shape, index = [], []
-    for ctl in sorted(controls, key=lambda c: c.qubit, reverse=True):
-        shape += [1 << (hi - ctl.qubit - 1), 2]
-        index += [slice(None), int(ctl.closed)]
-        hi = ctl.qubit
-    block = vec.reshape(*shape, 1 << hi)[(*index, slice(None))]
+    """Multiply the control-satisfied block of ``vec`` by ``factor`` in place."""
+    block = _block(vec, [(c.qubit, int(c.closed)) for c in controls])
     block *= factor
 
 
@@ -256,7 +257,7 @@ def _window_factors(gate: Gate, alpha: float,
 def simulate_postselected(circuit: Circuit | LayeredCircuit,
                           noise: NoiseRealization | None = None
                           ) -> tuple[StateVector, SimReport]:
-    """Data-register-only simulation via the strided window kernel.
+    """Data-register-only simulation through strided block views.
 
     Ancilla-targeted B gates multiply the data state by <0|B|0> on their
     control subspace (the block-encoding identity); barriers record the
@@ -286,8 +287,7 @@ def simulate_postselected(circuit: Circuit | LayeredCircuit,
             _apply_window(state, elem.controls, f_sel / f_rest)
             scale *= f_rest
             continue
-        mat = _gate_full_matrix(elem, circuit.alpha, noise)
-        state = _apply_unitary(state, mat, list(elem.qubits), n)
+        _apply_gate(state, elem, circuit.alpha, noise)
     if scale != 1.0:
         state *= scale  # a window left without a barrier
 
@@ -441,7 +441,9 @@ class GaussianLayerModel:
                     "prelude gates must be uncontrolled and act on data qubits")
             if gate.target == core:
                 continue  # the top-qubit Hadamard is not part of the core
-            mat = _gate_full_matrix(gate, layered.alpha, noise)
+            mat = rotation_kernel(gate.kind, gate.exponent, layered.alpha)
+            if noise and gate in noise:
+                mat = noise[gate] @ mat
             self.qubits[gate.target] = mat @ self.qubits[gate.target]
         self.ratios = np.ones((core, core), dtype=complex)  # R[j, k], j < k
         self.scale = 1.0  # the product of every window's f_rest

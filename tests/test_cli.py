@@ -162,8 +162,8 @@ def test_gaussian2d_file_takes_its_split_from_n(runner, tmp_path, split):
 
 
 @pytest.mark.parametrize("args", [
-    ["--family", "gaussian2d"],
-    ["--family", "gaussian2d", "--n", "3,3"],
+    ["--family", "gaussian2d", "--q", "2,1,1"],
+    ["--family", "gaussian2d", "--n", "3,3", "--q", "2,1,1"],
     ["--n", "7"],
     ["--alpha", "0.5"],
     ["--beta", "0.1"],
@@ -175,8 +175,8 @@ def test_simulate_file_rejects_options_the_file_fixes(runner, tmp_path, args):
     runner.invoke(main, ["generate", "--family", "gaussian2d", "--n", "2,3",
                          "--q", "2,1,1", "--alpha", "0.9", "--out", str(path)])
     row = tmp_path / "row.csv"
-    result = runner.invoke(main, ["simulate", str(path), "--q", "2,1,1",
-                                  *args, "--out", str(row)])
+    result = runner.invoke(main, ["simulate", str(path), *args,
+                                  "--out", str(row)])
     assert result.exit_code == 2
     assert "Usage:" in result.output
     assert not row.exists()
@@ -233,6 +233,57 @@ def test_simulate_rejects_options_the_branch_ignores(runner, layered_file,
     assert result.exit_code == 2
     assert "Usage:" in result.output
     assert extra[0] in result.output
+
+
+@pytest.mark.parametrize("command, option", [
+    ("simulate --n 6 --alpha 0.9 --family gaussian", "--family"),
+    ("simulate --n 6 --alpha 0.9 --d 2", "--d"),
+    ("simulate --n 6 --alpha 0.9 --q 1,0,1", "--q"),
+    ("simulate --n 6 --alpha 0.9 --ideal finite", "--ideal"),
+    ("simulate {gaussian} --d 2", "--d"),
+    ("simulate {gaussian} --q 1,0,1", "--q"),
+    ("simulate {gaussian} --ideal infinite", "--ideal"),
+    ("simulate {phase} --family phase --d 2 --ideal finite", "--ideal"),
+    ("simulate {exponential} --family exponential --ideal infinite",
+     "--ideal"),
+    ("simulate {gaussian2d} --family gaussian2d --n 3,3 --q 1,1,1 "
+     "--ideal finite", "--ideal"),
+    ("simulate {gaussian} --family gaussian --d 2", "--d"),
+    ("generate --family gaussian --n 6 --alpha 0.9 --d 2", "--d"),
+    ("generate --family gaussian --n 6 --alpha 0.9 --q 1,0,1", "--q"),
+    ("generate --family phase --n 4 --alpha 0.3 --q 1,1,1", "--q"),
+    ("generate --family half-gaussian --n 4 --alpha 0.9 --layered",
+     "--layered"),
+    ("simulate --n 6 --alpha 0.9 --delta 1e-5 --seed -1", "--seed"),
+    ("sweep --n 6 --alpha 0.9 --delta 1e-5 --seed -1", "--seed"),
+], ids=["spec-family", "spec-d", "spec-q", "spec-ideal", "file-d", "file-q",
+        "file-ideal", "phase-ideal", "exponential-ideal", "gaussian2d-ideal",
+        "gaussian-d", "generate-gaussian-d", "generate-gaussian-q",
+        "generate-phase-q", "generate-half-layered", "simulate-seed",
+        "sweep-seed"])
+def test_options_a_branch_never_reads_exit_2(runner, tmp_path, command,
+                                             option):
+    files = {}
+    for family, args in FAMILY_ARGS.items():
+        if "{%s}" % family in command:
+            files[family] = str(tmp_path / f"{family}.txt")
+            gen = runner.invoke(main, ["generate", "--family", family, *args,
+                                       "--out", files[family]])
+            assert gen.exit_code == 0
+    result = runner.invoke(main, shlex.split(command.format(**files)))
+    assert result.exit_code == 2
+    assert "Usage:" in result.output
+    assert f"'{option}'" in result.output
+
+
+def test_sweep_trials_draw_distinct_seeds(runner):
+    # trial 0 keeps seed ^ grid_index; later trials move past every point
+    result = runner.invoke(main, ["sweep", "--axis", "delta=1e-5:1e-4:2",
+                                  "--alpha", "0.99", "--n", "6",
+                                  "--trials", "2", "--seed", "0"])
+    assert result.exit_code == 0
+    rows = result.output.strip().splitlines()[1:]
+    assert [int(r.split(",")[-1]) for r in rows] == [0, 2, 1, 3]
 
 
 @pytest.mark.parametrize("args", [

@@ -15,9 +15,19 @@ from gausskit.gates import (
     a_matrix,
     a_xh_distance,
     b_matrix,
-    gate_matrix,
+    rotation_kernel,
     z_matrix,
 )
+from gausskit.simulator import _apply_gate
+
+
+def _gate_columns(gate, alpha, n_bits):
+    """The matrix of ``gate`` on ``n_bits`` bits (qubit q on bit q), column
+    by column: ``_apply_gate`` on each basis state."""
+    columns = np.eye(1 << n_bits, dtype=complex)
+    for column in columns:
+        _apply_gate(column, gate, alpha, None)
+    return columns.T
 
 
 def test_a_matrix_entries():
@@ -80,7 +90,8 @@ def test_controlled_b_matrix_layout():
     )
     # basis |target control>: B acts on the control's |1> block
     gate = Gate(GateKind.B, 1, exponent=m, controls=(Control(0),))
-    np.testing.assert_allclose(gate_matrix(gate, alpha), expected, atol=1e-15)
+    np.testing.assert_allclose(_gate_columns(gate, alpha, 2), expected,
+                               atol=1e-15)
 
 
 @settings(max_examples=200, deadline=None)
@@ -90,8 +101,7 @@ def test_controlled_b_matrix_layout():
     kind=st.sampled_from([GateKind.A, GateKind.B, GateKind.Z]),
 )
 def test_rotation_matrices_unitary(alpha, m, kind):
-    gate = Gate(kind, 0, exponent=m)
-    mat = gate_matrix(gate, alpha)
+    mat = rotation_kernel(kind, m, alpha)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(2), atol=1e-12)
 
 
@@ -99,7 +109,7 @@ def test_rotation_matrices_unitary(alpha, m, kind):
 def test_controlled_gate_matrices_unitary(n_controls):
     controls = tuple(Control(i + 1) for i in range(n_controls))
     gate = Gate(GateKind.B, 0, exponent=3.0, controls=controls)
-    mat = gate_matrix(gate, 0.8)
+    mat = _gate_columns(gate, 0.8, 1 + n_controls)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(2 ** (1 + n_controls)),
                                atol=1e-12)
 
@@ -114,7 +124,7 @@ def test_merged_a_ratio_identity():
 
 def test_open_control_cnot_matrix():
     gate = Gate(GateKind.CNOT, 1, controls=(Control(0, closed=False),))
-    mat = gate_matrix(gate, 0.5)
+    mat = _gate_columns(gate, 0.5, 2)
     # basis |t c>: open control flips target when c == 0
     expected = np.zeros((4, 4))
     expected[2, 0] = expected[0, 2] = 1  # |00> <-> |10>
@@ -140,7 +150,7 @@ def test_gate_parameter_errors():
     with pytest.raises(ParameterError):
         Gate(GateKind.B, 1, exponent=1.0, controls=(Control(1),))  # overlap
     with pytest.raises(ParameterError):
-        gate_matrix(Gate(GateKind.A, 0, exponent=2.0), alpha=1.5)
+        rotation_kernel(GateKind.A, 2.0, alpha=1.5)
 
 
 def test_gaussian_spec_beta_roundtrip():

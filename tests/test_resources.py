@@ -7,7 +7,7 @@ import pytest
 from gausskit import resources, simulator
 from gausskit.builders import build_poly_phase, layered_full_gaussian
 from gausskit.gates import (Control, Gate, GateKind, GaussianSpec,
-                            ParameterError, gate_matrix, rotation_kernel)
+                            ParameterError, rotation_kernel)
 from gausskit.optimizer import (ErrorBudget, expected_t_depth, prune_layered,
                                 qubit_threshold)
 from gausskit.resources import (
@@ -205,7 +205,8 @@ def _longdouble_core_error(layered, noise) -> float:
     for gate in layered.prelude.gates():
         if gate.target == core:
             continue  # the top qubit only feeds the symmetrizing postlude
-        mat = gate_matrix(gate, alpha).astype(np.clongdouble)
+        mat = rotation_kernel(gate.kind, gate.exponent,
+                              alpha).astype(np.clongdouble)
         if gate in noise:
             mat = noise[gate].astype(np.clongdouble) @ mat
         view = state.reshape(-1, 2, 1 << gate.target)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from gausskit.builders import (
     layered_full_gaussian,
 )
 from gausskit.circuit import Circuit, Layer, MeasureBarrier
-from gausskit.gates import Control, Gate, GateKind, GaussianSpec, ParameterError
+from gausskit.gates import (ROTATION_KINDS, Control, Gate, GateKind,
+                            GaussianSpec, ParameterError, rotation_kernel)
 from gausskit.optimizer import ErrorBudget, pack_layers, prune_layered
 from gausskit.simulator import (
     CapacityError,
     GaussianLayerModel,
+    _apply_gate,
     ideal_gaussian,
     l2_error,
     realize_noise,
@@ -134,6 +137,38 @@ def test_memory_limit_env(monkeypatch):
         simulate_postselected(build_full_gaussian(20, 0.999999))
 
 
+@pytest.mark.parametrize("run, circ", [
+    (simulate_postselected, build_full_gaussian(9, 0.95)),
+    (simulate_exact, build_half_gaussian(8, 0.95)),  # one live ancilla
+], ids=["postselected", "exact"])
+def test_flat_engine_capacity_boundary(monkeypatch, run, circ):
+    # predicted need: 2.5 complex states of the largest register, 9 bits
+    need_mb = (1 << 9) * 16 * 2.5 / 1e6
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+    run(circ)
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+    with pytest.raises(CapacityError):
+        run(circ)
+
+
+@pytest.mark.parametrize("run, circ", [
+    (simulate_postselected, build_full_gaussian(16, 0.999)),
+    (simulate_exact, build_half_gaussian(15, 0.999)),  # 16 bits live
+], ids=["postselected", "exact"])
+def test_flat_engine_traced_peak_within_prediction(monkeypatch, run, circ):
+    tracemalloc.start()
+    try:
+        run(circ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the prediction covers the traced peak: a cap just below it refuses
+    # the run
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(peak * 0.999 / 1e6))
+    with pytest.raises(CapacityError):
+        run(circ)
+
+
 def test_layered_22q_exceeds_exact_backend(monkeypatch):
     # ten ancilla live per layer push the joint register past the budget;
     # the post-selected backend handles the same circuit (criterion 8 runs
@@ -179,6 +214,60 @@ def test_perturbation_norm_pinned():
         np.testing.assert_allclose(p @ p.conj().T, np.eye(2), atol=1e-14)
         dist = np.linalg.norm(p - np.eye(2), ord=2)
         assert dist == pytest.approx(delta, rel=1e-10)
+
+
+# the controls each gate kind admits
+CONTROL_COUNTS = {GateKind.A: (0,), GateKind.B: (0, 1, 2),
+                  GateKind.Z: (0, 1, 2, 3), GateKind.H: (0,), GateKind.X: (0,),
+                  GateKind.CNOT: (1,)}
+
+
+def _dense_gate(gate, alpha, p, bits, n_bits):
+    """The 2**n_bits operator of ``gate`` with qubit q on bit bits[q], built
+    from Kronecker products: K on the target times the control projectors,
+    the identity off that block, then P on the target."""
+    proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    kernel = rotation_kernel(gate.kind, gate.exponent, alpha)
+    target = bits[gate.target]
+    values = {bits[c.qubit]: int(c.closed) for c in gate.controls}
+
+    def kron(on_target, on_control):
+        out = np.ones((1, 1))
+        for bit in reversed(range(n_bits)):  # most significant first
+            out = np.kron(out, on_target if bit == target else
+                          on_control[values[bit]] if bit in values else
+                          np.eye(2))
+        return out
+
+    block = kron(np.eye(2), proj)
+    controlled = kron(kernel, proj) + np.eye(1 << n_bits) - block
+    return kron(p, (np.eye(2), np.eye(2))) @ controlled
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_apply_gate_matches_dense_kronecker_operator(data):
+    # the one gate rule both flat engines share, against an operator built
+    # independently of its strided views
+    kind = data.draw(st.sampled_from(list(GateKind)))
+    n_controls = data.draw(st.sampled_from(CONTROL_COUNTS[kind]))
+    n_bits = data.draw(st.integers(n_controls + 1, 6))
+    bits = data.draw(st.permutations(range(n_bits)))
+    closed = data.draw(st.lists(st.booleans(), min_size=n_controls,
+                                max_size=n_controls))
+    noisy = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    gate = Gate(kind, 0,
+                float(rng.uniform(-2, 6)) if kind in ROTATION_KINDS else None,
+                tuple(Control(i + 1, c) for i, c in enumerate(closed)))
+    alpha = float(rng.uniform(0.1, 0.99))
+    p = sample_perturbation(0.3, rng) if noisy else np.eye(2)
+    vec = rng.normal(size=1 << n_bits) + 1j * rng.normal(size=1 << n_bits)
+    expected = _dense_gate(gate, alpha, p, bits, n_bits) @ vec
+    _apply_gate(vec, gate, alpha, {gate: p} if noisy else None,
+                bits.__getitem__)
+    np.testing.assert_allclose(vec, expected, rtol=0, atol=1e-13)
 
 
 def _noisy_error(lay, budget, seed):
