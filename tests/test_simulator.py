@@ -137,13 +137,18 @@ def test_memory_limit_env(monkeypatch):
         simulate_postselected(build_full_gaussian(20, 0.999999))
 
 
+# every capacity prediction adds numpy's two 128 KB ufunc buffers and 4 KB
+# of small arrays to its states
+FIXED_BYTES = 2 * 8192 * 16 + 4096
+
+
 @pytest.mark.parametrize("run, circ", [
     (simulate_postselected, build_full_gaussian(9, 0.95)),
     (simulate_exact, build_half_gaussian(8, 0.95)),  # one live ancilla
 ], ids=["postselected", "exact"])
 def test_flat_engine_capacity_boundary(monkeypatch, run, circ):
-    # predicted need: 2.5 complex states of the largest register, 9 bits
-    need_mb = (1 << 9) * 16 * 2.5 / 1e6
+    # predicted need: 2 complex states of the largest register, 9 bits
+    need_mb = ((1 << 9) * 16 * 2 + FIXED_BYTES) / 1e6
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
     run(circ)
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
@@ -154,7 +159,10 @@ def test_flat_engine_capacity_boundary(monkeypatch, run, circ):
 @pytest.mark.parametrize("run, circ", [
     (simulate_postselected, build_full_gaussian(16, 0.999)),
     (simulate_exact, build_half_gaussian(15, 0.999)),  # 16 bits live
-], ids=["postselected", "exact"])
+    # at 14 bits a state is the size of the ufunc buffers: 3.0 states
+    (simulate_postselected, build_full_gaussian(14, 0.999)),
+    (simulate_exact, build_half_gaussian(13, 0.999)),
+], ids=["postselected", "exact", "postselected-14", "exact-14"])
 def test_flat_engine_traced_peak_within_prediction(monkeypatch, run, circ):
     tracemalloc.start()
     try:
@@ -469,7 +477,7 @@ def test_core_pipeline_capacity_boundary(monkeypatch):
     # predicted need of state(): one complex 2**core state, the
     # tracemalloc peak measured at core 15 and at core 18
     model = GaussianLayerModel(layered_full_gaussian(9, 0.95))
-    need_mb = (1 << 8) * 16 * 1.0 / 1e6
+    need_mb = ((1 << 8) * 16 * 1.0 + FIXED_BYTES) / 1e6
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
     model.state()
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
@@ -483,7 +491,7 @@ def test_layer_model_capacity_boundary(monkeypatch):
     lay = layered_full_gaussian(9, 0.95)
     model = GaussianLayerModel(lay)
     order = range(len(lay.layers))
-    need_mb = (1 << 8) * 16 * 1.0 / 1e6
+    need_mb = ((1 << 8) * 16 * 1.0 + FIXED_BYTES) / 1e6
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
     model.probs(order)
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
