@@ -11,7 +11,7 @@ cost model does not cover rotations with more than two controls.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gates import ParameterError
 
@@ -23,14 +23,18 @@ class MonomialExpansion:
     n_bits: int
     degree: int
     terms: dict[frozenset[int], int]
+    # each term as (bit mask of its digit subset, coefficient)
+    _masks: tuple[tuple[int, int], ...] = field(init=False, repr=False,
+                                                compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_masks", tuple(
+            (sum(1 << j for j in subset), coeff)
+            for subset, coeff in self.terms.items()))
 
     def evaluate(self, x: int) -> int:
         """Direct evaluation of the expansion at integer x (for checking)."""
-        total = 0
-        for subset, coeff in self.terms.items():
-            if all((x >> j) & 1 for j in subset):
-                total += coeff
-        return total
+        return sum(coeff for mask, coeff in self._masks if x & mask == mask)
 
 
 def monomial_coefficients(n: int, d: int) -> MonomialExpansion:

@@ -82,6 +82,24 @@ class PruneResult:
         return self.removed_b_gates + self.replaced_a_gates
 
 
+def prune_distance(gate: Gate, alpha: float) -> float:
+    """How far ``gate`` is from what pruning puts in its place: a
+    controlled B window from the identity it is dropped for (1 minus its
+    diagonal alpha**(2**m)), an A rotation from the exact XH that replaces
+    it; inf for a gate that pruning never touches."""
+    if gate.kind is GateKind.B and gate.controls:
+        return 1.0 - alpha_power(alpha, gate.exponent)
+    if gate.kind is GateKind.A:
+        return a_xh_distance(alpha, gate.exponent)
+    return math.inf
+
+
+def prunes(distance, delta):
+    """The one prune rule: a gate goes when its ``prune_distance`` is
+    below its budget.  Takes floats or arrays of distances."""
+    return distance < delta
+
+
 def _prune_elements(elements, alpha, budget):
     """Shared gate-level pruning: drop controlled windows within their
     budget of the identity, swap A rotations within their budget of XH for
@@ -96,19 +114,15 @@ def _prune_elements(elements, alpha, budget):
                 out.append(MeasureBarrier(keep))
             continue
         gate = elem
-        if gate.kind is GateKind.B and gate.controls:
-            deviation = 1.0 - alpha_power(alpha, gate.exponent)
-            if deviation < budget.delta_for(gate):
-                removed.add(gate.target)
-                n_removed += 1
-                continue
+        if not prunes(prune_distance(gate, alpha), budget.delta_for(gate)):
+            out.append(gate)
         elif gate.kind is GateKind.A:
-            if a_xh_distance(alpha, gate.exponent) < budget.delta_for(gate):
-                out.append(Gate(GateKind.H, gate.target))
-                out.append(Gate(GateKind.X, gate.target))
-                n_replaced += 1
-                continue
-        out.append(gate)
+            out.append(Gate(GateKind.H, gate.target))
+            out.append(Gate(GateKind.X, gate.target))
+            n_replaced += 1
+        else:
+            removed.add(gate.target)
+            n_removed += 1
     return out, n_removed, n_replaced
 
 

@@ -138,13 +138,11 @@ class EstimateReport:
 
 @dataclass(frozen=True)
 class _PackedRun:
-    """One gate budget's pruned circuit, its core-register model and the
-    error of the model's state: what ordering and pricing need."""
+    """One gate budget's core-register model and the error of its state:
+    what ordering and pricing need."""
 
-    layered: LayeredCircuit
     budget: ErrorBudget
     model: simulator.GaussianLayerModel
-    pruned_gates: int
     eps: float
 
 
@@ -153,13 +151,17 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
              ) -> EstimateReport:
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
-    The layered circuit is built once.  Every gate budget then runs one
-    pipeline: prune windows below the budget, draw noise from ``seed`` in
-    gate order of the pruned circuit, build the core-register model and
-    take the error from its state.  The windows commute, so that state,
-    and the error, are the same in every layer order.  Two passes over
-    real weights then give the packed-order probabilities, which pick the
-    layer order, and the probabilities in that order, which price it.
+    The layered circuit is built once and read once into a
+    ``simulator.CoreTable``.  Every gate budget then runs one probe of
+    array operations: prune the table's rows against the budget, draw
+    noise from ``seed`` in gate order of the pruned circuit, fill the
+    core-register model and take the error from its state.  The windows
+    commute, so that state, and the error, are the same in every layer
+    order.  The accepted budget's pruned circuit prices the run, and the
+    real weights give the probabilities in packed order, which pick the
+    optimal layer order (the identity order reads them as they are, a
+    random order does not need them), and the probabilities in the chosen
+    order.
 
     With ``target_error`` set, the gate budget is searched on the grid a
     14-halving bisection of log10 delta over [-15, log10 0.05] lands on:
@@ -172,19 +174,30 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     axes from one candidate to the next and the error need not be
     monotone in delta; the search is deterministic under the seed, not
     stable across pruning boundaries.  Keying each draw by the gate's
-    position in the unpruned circuit fixes this (ROADMAP.md, open item 4).
+    position in the unpruned circuit fixes this (ROADMAP.md, open item 3).
     """
+    if order not in ("optimal", "identity", "random"):
+        raise ParameterError(f"unknown ordering scheme {order!r}")
     alpha = spec.derived_alpha
     full = layered_full_gaussian(spec.n_qubits, alpha)
+    table = simulator.CoreTable(full)
     ideal = simulator.ideal_core_half_shifted(spec.n_qubits - 1, alpha)
     if target_error is None:
-        run = _packed_run(full, spec.gate_error, seed, alloc, ideal)
+        run = _packed_run(table, spec.gate_error, seed, alloc, ideal)
     else:
-        run = _search_delta(full, target_error, seed, alloc, ideal)
+        run = _search_delta(table, target_error, seed, alloc, ideal)
 
-    n0, nks = layered_t_depth(run.layered, run.budget)
-    packed = run.model.probs(range(len(nks))).tolist()
-    permutation = _pick_order(order, nks, packed, seed)
+    layered, pruned = prune_layered(full, run.budget)
+    n0, nks = layered_t_depth(layered, run.budget)
+    packed = range(len(nks))
+    if order == "identity":
+        permutation = tuple(packed)
+    elif order == "random":
+        rng = np.random.default_rng(seed)
+        permutation = tuple(int(i) for i in rng.permutation(len(nks)))
+    else:
+        plan = order_layers(list(zip(nks, run.model.probs(packed).tolist())))
+        permutation = plan.permutation
     probs = run.model.probs(permutation).tolist()
     et = expected_t_depth(n0, list(zip(nks, probs)))
     gamma2 = float(np.prod(probs)) if probs else 1.0
@@ -198,7 +211,7 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
         layer_probs=tuple(probs),
         expected_t_depth=et,
         ordering=permutation,
-        pruned_gates=run.pruned_gates,
+        pruned_gates=pruned.total,
         seed=seed,
     )
 
@@ -211,27 +224,26 @@ def _budget(delta: float, alloc: str) -> ErrorBudget:
     raise ParameterError(f"unknown allocation scheme {alloc!r}")
 
 
-def _packed_run(full: LayeredCircuit, delta: float, seed: int, alloc: str,
-                ideal: np.ndarray) -> _PackedRun:
-    """The run of the unpruned circuit ``full`` at gate budget ``delta``;
-    its core state is dropped on return, before the next candidate builds
-    its own."""
+def _packed_run(table: simulator.CoreTable, delta: float, seed: int,
+                alloc: str, ideal: np.ndarray) -> _PackedRun:
+    """The run of the unpruned circuit read into ``table`` at gate budget
+    ``delta``; its core state is dropped on return, before the next
+    candidate builds its own."""
     budget = _budget(delta, alloc)
-    layered, prune_info = prune_layered(full, budget)
-    rng = np.random.default_rng(seed)
-    noise = simulator.realize_noise(layered.to_circuit().gates(), budget, rng)
-    model = simulator.GaussianLayerModel(layered, noise=noise)
+    kept = table.kept(budget)
+    noise = table.draw_noise(budget, kept, np.random.default_rng(seed))
+    model = simulator.GaussianLayerModel.from_table(table, kept, noise)
     eps = simulator.l2_error(ideal, model.state())
-    return _PackedRun(layered, budget, model, prune_info.total, eps)
+    return _PackedRun(budget, model, eps)
 
 
-def _search_delta(full: LayeredCircuit, target_error: float, seed: int,
-                  alloc: str, ideal: np.ndarray) -> _PackedRun:
+def _search_delta(table: simulator.CoreTable, target_error: float,
+                  seed: int, alloc: str, ideal: np.ndarray) -> _PackedRun:
     """The run at the grid delta ``_grid_search`` finds for ``target_error``."""
     runs: dict[int, _PackedRun] = {}
 
     def eps_at(k: int) -> float:
-        runs[k] = _packed_run(full, 10.0 ** _grid_log_delta(k), seed, alloc,
+        runs[k] = _packed_run(table, 10.0 ** _grid_log_delta(k), seed, alloc,
                               ideal)
         return runs[k].eps
 
@@ -300,16 +312,3 @@ def _grid_search(eps_at: Callable[[int], float], target_error: float) -> int:
 
 def _log_ratio(eps: float, target_error: float) -> float:
     return math.log10(eps / target_error) if eps > 0.0 else -math.inf
-
-
-def _pick_order(order: str, nks: list[float], probs: list[float],
-                seed: int) -> tuple[int, ...]:
-    if order == "identity":
-        return tuple(range(len(probs)))
-    if order == "random":
-        rng = np.random.default_rng(seed)
-        return tuple(int(i) for i in rng.permutation(len(probs)))
-    if order == "optimal":
-        plan = order_layers(list(zip(nks, probs)))
-        return plan.permutation
-    raise ParameterError(f"unknown ordering scheme {order!r}")

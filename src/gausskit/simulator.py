@@ -14,7 +14,12 @@ Three engines, one job each:
   layer order by doubling over the bits, each new half the old one times
   a column of pair factors, and ``probs(order)`` takes the success
   probabilities of an order from the real weights |amplitude|**2 the
-  same way, a layer at a time.
+  same way, a layer at a time.  It reads its circuit into a ``CoreTable``
+  of arrays, one row per prelude gate and per window; ``estimate`` reads
+  the unpruned circuit once and each gate budget it tries is a probe:
+  ``CoreTable.kept`` prunes rows against the budget, ``draw_noise`` draws
+  the kept rotations' noise as one array and
+  ``GaussianLayerModel.from_table`` fills the model from the kept rows.
 
 The flat engines touch a state only through ``_block``, the strided view
 that fixes some bits and leaves the rest free: a gate applies its 2x2
@@ -25,6 +30,9 @@ product is the squared subnormalization of the preparation.
 
 Noise is a ``NoiseRealization`` from ``realize_noise``: one random target
 perturbation per rotation gate, which every engine applies the same way.
+Both it and ``CoreTable.draw_noise`` draw the G rotations' axes as one
+``rng.normal(size=(G, 3))`` array in gate order.
+
 The module only runs circuits.  The end-to-end pipeline (build, prune,
 draw noise, simulate, order, price) is ``resources.estimate``, and
 ``simulate_rus_process`` samples the repeat-until-success restart process
@@ -39,8 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
-from .gates import Gate, GateKind, ParameterError, rotation_kernel
-from .optimizer import ErrorBudget
+from .gates import (ROTATION_KINDS, XH_MATRIX, Gate, GateKind,
+                    ParameterError, rotation_kernel)
+from .optimizer import ErrorBudget, prune_distance, prunes
 
 MAX_QUBITS = 26
 
@@ -91,6 +100,26 @@ class SimReport:
 NoiseRealization = dict[Gate, np.ndarray]
 
 
+def _perturbations(v: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The perturbations of ``sample_perturbation`` for the rows of the
+    (G, 3) normal draws ``v``, row i at distance deltas[i] in (0, 0.5);
+    the cos and sin of phi are taken once per distinct delta."""
+    if not np.all((0.0 < deltas) & (deltas < 0.5)):
+        raise ParameterError("perturbation size must lie in [0, 0.5)")
+    classes, row_class = np.unique(deltas, return_inverse=True)
+    half = [2.0 * math.asin(d / 2.0) for d in classes.tolist()]
+    c = np.array([math.cos(h) for h in half])[row_class]
+    s = np.array([math.sin(h) for h in half])[row_class]
+    sx, sy, sz = (s[:, None] * (v / np.linalg.norm(v, axis=1,
+                                                   keepdims=True))).T
+    out = np.empty((len(v), 2, 2), dtype=complex)
+    out[:, 0, 0] = c - 1j * sz
+    out[:, 0, 1] = -sy - 1j * sx
+    out[:, 1, 0] = sy - 1j * sx
+    out[:, 1, 1] = c + 1j * sz
+    return out
+
+
 def sample_perturbation(delta: float, rng: np.random.Generator) -> np.ndarray:
     """Unitary exp(-i*(phi/2)*(n.sigma)) with uniform axis and ||P - I|| = delta.
 
@@ -99,32 +128,22 @@ def sample_perturbation(delta: float, rng: np.random.Generator) -> np.ndarray:
     """
     if delta == 0.0:
         return np.eye(2, dtype=complex)
-    if not (0.0 < delta < 0.5):
-        raise ParameterError("perturbation size must lie in [0, 0.5)")
-    v = rng.normal(size=3)
-    nx, ny, nz = v / np.linalg.norm(v)
-    phi = 4.0 * math.asin(delta / 2.0)
-    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-    return np.array(
-        [[c - 1j * s * nz, -1j * s * (nx - 1j * ny)],
-         [-1j * s * (nx + 1j * ny), c + 1j * s * nz]],
-        dtype=complex,
-    )
+    return _perturbations(rng.normal(size=3)[None], np.array([delta]))[0]
 
 
 def realize_noise(gates, budget: ErrorBudget,
                   rng: np.random.Generator) -> NoiseRealization:
     """Draw one target perturbation per rotation gate, keyed by the gate.
 
-    Gates are frozen values, so the realization survives layer reordering;
-    Clifford gates are exact (they cost no T gates).
+    The draws for the G rotations are one ``rng.normal(size=(G, 3))``
+    array in gate order, the same numbers as G ``sample_perturbation``
+    calls.  Gates are frozen values, so the realization survives layer
+    reordering; Clifford gates are exact (they cost no T gates).
     """
-    realization: NoiseRealization = {}
-    for gate in gates:
-        delta = budget.delta_for(gate)
-        if delta > 0.0:
-            realization[gate] = sample_perturbation(delta, rng)
-    return realization
+    drawn = [gate for gate in gates if budget.delta_for(gate) > 0.0]
+    deltas = np.array([budget.delta_for(gate) for gate in drawn])
+    return dict(zip(drawn, _perturbations(rng.normal(size=(len(drawn), 3)),
+                                          deltas)))
 
 
 def _block(vec: np.ndarray, fixed) -> np.ndarray:
@@ -172,6 +191,24 @@ def _apply_gate(vec: np.ndarray, gate: Gate, alpha: float,
         _rotate(vec, p, target, [])
 
 
+def _peak_live_ancilla(circuit: Circuit) -> int:
+    """The most ancilla live at once: touched and not yet measured."""
+    n_data = circuit.data_qubits
+    live: set[int] = set()
+    peak = 0
+    for elem in circuit.elements:
+        if isinstance(elem, MeasureBarrier):
+            live.difference_update(elem.ancilla)
+            continue
+        if elem.target >= n_data:
+            live.add(elem.target)
+        for c in elem.controls:
+            if c.qubit >= n_data:
+                live.add(c.qubit)
+        peak = max(peak, len(live))
+    return peak
+
+
 def simulate_exact(circuit: Circuit,
                    noise: NoiseRealization | None = None
                    ) -> tuple[StateVector, SimReport]:
@@ -179,10 +216,11 @@ def simulate_exact(circuit: Circuit,
 
     Each measurement barrier projects its ancilla onto |0>, records the
     joint probability, renormalizes, and frees the memory.  Fails with
-    CapacityError if data + live ancilla ever exceeds the qubit budget.
+    CapacityError, before allocating any state, if data + live ancilla
+    would ever exceed the qubit or memory budget.
     """
     n_data = circuit.data_qubits
-    _check_capacity(n_data)
+    _check_capacity(n_data + _peak_live_ancilla(circuit))
     state = np.zeros(1 << n_data, dtype=complex)
     state[0] = 1.0
     position: dict[int, int] = {}  # live ancilla -> bit position
@@ -194,7 +232,6 @@ def simulate_exact(circuit: Circuit,
         if q < n_data:
             return q
         if q not in position:
-            _check_capacity(total + 1)
             state = np.concatenate([state, np.zeros_like(state)])
             position[q] = total
             total += 1
@@ -304,6 +341,9 @@ def simulate_postselected(circuit: Circuit | LayeredCircuit,
     return sv, report
 
 
+_CHUNK = 1 << 15  # l2_error's buffer: 512 KB of complex differences
+
+
 def l2_error(a, b) -> float:
     """Euclidean distance after aligning global phase.
 
@@ -315,6 +355,7 @@ def l2_error(a, b) -> float:
     vb = b.amplitudes if isinstance(b, StateVector) else np.asarray(b)
     if va.shape != vb.shape:
         raise ParameterError(f"dimension mismatch: {va.shape} vs {vb.shape}")
+    va, vb = va.reshape(-1), vb.reshape(-1)
     if np.iscomplexobj(vb) and not np.iscomplexobj(va):
         # a real a: sum (re, im) pairs of b against it, with no complex
         # copy of a
@@ -323,11 +364,18 @@ def l2_error(a, b) -> float:
         ov = complex(re, im)
     else:
         ov = np.vdot(va, vb)
-    # complex, so that a real b times it can take a complex a in place
-    phase = ov / abs(ov) if abs(ov) > 0 else 1.0 + 0.0j
-    diff = vb * np.conj(phase)
-    diff -= va
-    return float(np.linalg.norm(diff))
+    phase = np.conj(ov / abs(ov)) if abs(ov) > 0 else 1.0 + 0.0j
+    # the difference goes through one reused cache-sized buffer, not a
+    # fresh full-size temporary
+    diff = np.empty(min(va.size, _CHUNK), dtype=complex)
+    flat = diff.view(np.float64)
+    sq = 0.0
+    for lo in range(0, va.size, _CHUNK):
+        m = min(va.size - lo, _CHUNK)
+        np.multiply(vb[lo:lo + m], phase, out=diff[:m])
+        diff[:m] -= va[lo:lo + m]
+        sq += float(flat[:2 * m] @ flat[:2 * m])
+    return math.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +464,106 @@ def _window_pair(gate: Gate, core: int) -> tuple[int, int]:
     return qubits[0], qubits[1]
 
 
+def _identities(count: int) -> np.ndarray:
+    return np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2)).copy()
+
+
+def _gate_noise(gates, noise: NoiseRealization | None) -> np.ndarray:
+    """The (len(gates), 2, 2) perturbations of ``gates`` under ``noise``,
+    the identity for a gate it leaves exact."""
+    out = _identities(len(gates))
+    for i, gate in enumerate(gates):
+        if noise and gate in noise:
+            out[i] = noise[gate]
+    return out
+
+
+class CoreTable:
+    """The core register of a layered Gaussian as arrays, read once.
+
+    Each prelude gate on a core qubit is a row: its target, its rank among
+    the gates on that target, its kernel, whether it is a rotation, and
+    its ``optimizer.prune_distance``.  Each window is a row, in layer and
+    slot order: its pair j < k, its layer, the column (K00, K10) of its
+    kernel and its prune distance.  Reading makes the checks the model
+    rests on: prelude gates are uncontrolled on data qubits, and each
+    window has two closed controls on core qubits.
+
+    A gate budget is then a probe of array operations: ``kept`` prunes
+    with one comparison per row kind, ``draw_noise`` draws the kept
+    rotations' perturbations as one array, and
+    ``GaussianLayerModel.from_table`` fills the model; no probe builds a
+    ``Gate``, a circuit or a noise dict.
+    """
+
+    def __init__(self, layered: LayeredCircuit):
+        self.core = core = layered.data_qubits - 1
+        alpha = layered.alpha
+        self.prelude: list[Gate] = []
+        for gate in layered.prelude.gates():
+            if gate.controls or gate.target > core:
+                raise ParameterError(
+                    "prelude gates must be uncontrolled and act on data qubits")
+            if gate.target < core:  # the top-qubit Hadamard is not core
+                self.prelude.append(gate)
+        self.windows = [g for layer in layered.layers for g in layer.gates]
+        self.window_layer = np.array(
+            [i for i, layer in enumerate(layered.layers) for _ in layer.gates],
+            dtype=np.intp)
+        self.pairs = np.array([_window_pair(g, core) for g in self.windows],
+                              dtype=np.intp).reshape(-1, 2)
+        self.targets = np.array([g.target for g in self.prelude], dtype=np.intp)
+        ranks, count = [], {}  # rank: the gates on the target before it
+        for target in self.targets.tolist():
+            ranks.append(count.get(target, 0))
+            count[target] = ranks[-1] + 1
+        self.ranks = np.array(ranks, dtype=np.intp)
+        self.kernels = np.array(
+            [rotation_kernel(g.kind, g.exponent, alpha) for g in self.prelude]
+        ).reshape(-1, 2, 2)
+        self.rotation = np.array([g.kind in ROTATION_KINDS
+                                  for g in self.prelude], dtype=bool)
+        self.columns = np.array(
+            [rotation_kernel(g.kind, g.exponent, alpha)[:, 0]
+             for g in self.windows]).reshape(-1, 2)
+        self.prelude_distance = np.array(
+            [prune_distance(g, alpha) for g in self.prelude])
+        self.window_distance = np.array(
+            [prune_distance(g, alpha) for g in self.windows])
+
+    def kept(self, budget: ErrorBudget) -> tuple[np.ndarray, np.ndarray]:
+        """The prelude rows pruning at ``budget`` keeps (the rest become
+        exact XH) and the windows it keeps (the rest are dropped)."""
+        return (~prunes(self.prelude_distance, budget.delta_single),
+                ~prunes(self.window_distance, budget.delta_controlled))
+
+    def draw_noise(self, budget: ErrorBudget, kept, rng: np.random.Generator
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The perturbations of the prelude rows and of the windows: one
+        ``rng.normal(size=(G, 3))`` draw for the G kept rotations, in the
+        pruned circuit's gate order (prelude, then windows by layer and
+        slot), as ``realize_noise`` draws them; the identity elsewhere."""
+        pre = np.flatnonzero(kept[0] & self.rotation
+                             & (budget.delta_single > 0.0))
+        win = np.flatnonzero(kept[1] & (budget.delta_controlled > 0.0))
+        deltas = np.repeat([budget.delta_single, budget.delta_controlled],
+                           [len(pre), len(win)])
+        mats = _perturbations(rng.normal(size=(len(deltas), 3)), deltas)
+        pre_noise = _identities(len(self.prelude))
+        win_noise = _identities(len(self.windows))
+        pre_noise[pre] = mats[:len(pre)]
+        win_noise[win] = mats[len(pre):]
+        return pre_noise, win_noise
+
+
 class GaussianLayerModel:
     """The core register of a layered Gaussian, prelude plus layers.
 
     The prelude is a product of per-qubit 2-vectors a_q, and every window
     has two closed controls j < k, so it multiplies by the ratio
-    f_sel/f_rest where x_j = x_k = 1 and by f_rest everywhere.  The
-    unnormalized core amplitude is therefore
+    f_sel/f_rest where x_j = x_k = 1 and by f_rest everywhere, with
+    f_sel = P00*K00 + P01*K10 and f_rest = P00 for kernel K and noise P.
+    The unnormalized core amplitude is therefore
 
         prod_q a_q(x_q) * prod_{j<k} R[j, k]**(x_j*x_k)
 
@@ -434,36 +575,61 @@ class GaussianLayerModel:
     state is the same in every layer order; the per-layer success
     probabilities are not.  The symmetrizing postlude is an isometry, so
     both equal their full-register values.
+
+    ``GaussianLayerModel(layered, noise)`` reads the circuit into a
+    ``CoreTable`` and keeps every row; ``from_table`` fills the model of
+    a pruned probe from the rows it keeps.  A layer left with no window
+    has no barrier and no probability, as in the flat engines.
     """
 
     def __init__(self, layered: LayeredCircuit,
                  noise: NoiseRealization | None = None):
-        self.core = core = layered.data_qubits - 1
+        table = CoreTable(layered)
+        self._fill(table,
+                   (np.ones(len(table.prelude), dtype=bool),
+                    np.ones(len(table.windows), dtype=bool)),
+                   (_gate_noise(table.prelude, noise),
+                    _gate_noise(table.windows, noise)))
+
+    @classmethod
+    def from_table(cls, table: CoreTable, kept, noise) -> "GaussianLayerModel":
+        """The model of ``table`` with the rows ``kept`` (a pair of masks
+        from ``CoreTable.kept``) under the perturbations ``noise``."""
+        model = cls.__new__(cls)
+        model._fill(table, kept, noise)
+        return model
+
+    def _fill(self, table: CoreTable, kept, noise) -> None:
+        self.core = core = table.core
+        mats = noise[0] @ np.where(kept[0][:, None, None], table.kernels,
+                                   XH_MATRIX)
+        # a_q: the prelude gates of qubit q, rank by rank, on |0>
         self.qubits = np.zeros((core, 2), dtype=complex)
         self.qubits[:, 0] = 1.0
-        for gate in layered.prelude.gates():
-            if gate.controls or gate.target > core:
-                raise ParameterError(
-                    "prelude gates must be uncontrolled and act on data qubits")
-            if gate.target == core:
-                continue  # the top-qubit Hadamard is not part of the core
-            mat = rotation_kernel(gate.kind, gate.exponent, layered.alpha)
-            if noise and gate in noise:
-                mat = noise[gate] @ mat
-            self.qubits[gate.target] = mat @ self.qubits[gate.target]
+        for rank in range(int(table.ranks.max(initial=-1)) + 1):
+            rows = table.ranks == rank
+            targets = table.targets[rows]
+            self.qubits[targets] = np.einsum("gij,gj->gi", mats[rows],
+                                             self.qubits[targets])
+        rows = np.flatnonzero(kept[1])
+        p, column = noise[1][rows], table.columns[rows]
+        f_rest = p[:, 0, 0]
+        ratio = (f_rest * column[:, 0] + p[:, 0, 1] * column[:, 1]) / f_rest
+        j, k = table.pairs[rows].T
         self.ratios = np.ones((core, core), dtype=complex)  # R[j, k], j < k
-        self.scale = 1.0  # the product of every window's f_rest
-        self.layers = []  # ([(j, k, |ratio|**2)], prod of |f_rest|**2)
-        for layer in layered.layers:
-            windows, rest = [], 1.0
-            for gate in layer.gates:
-                j, k = _window_pair(gate, core)
-                f_sel, f_rest = _window_factors(gate, layered.alpha, noise)
-                self.ratios[j, k] *= f_sel / f_rest
-                self.scale *= f_rest
-                windows.append((j, k, abs(f_sel / f_rest) ** 2))
-                rest *= abs(f_rest) ** 2
-            self.layers.append((windows, rest))
+        np.multiply.at(self.ratios, (j, k), ratio)
+        self.scale = complex(np.prod(f_rest))  # the product of every f_rest
+        # the kept windows of each kept layer, contiguous in layer order
+        layer = table.window_layer[rows]
+        starts = np.flatnonzero(np.diff(layer, prepend=-1))
+        self._bounds = np.append(starts, len(rows))
+        self._windows = (j, k, np.abs(ratio) ** 2)
+        self._rests = np.multiply.reduceat(np.abs(f_rest) ** 2, starts)
+
+    @property
+    def n_layers(self) -> int:
+        """The layers left with a window, which ``probs`` orders."""
+        return len(self._rests)
 
     def state(self) -> np.ndarray:
         """The normalized core state after all layers, in any order.
@@ -514,14 +680,16 @@ class GaussianLayerModel:
             return (weights[top][0] * float(low.sum())
                     + float(low @ columns[top]))
 
+        bounds = self._bounds.tolist()
+        js, ks, ratios2 = (a.tolist() for a in self._windows)
         total = weight_sum()
         out = np.empty(len(order))
         for i, li in enumerate(order):
-            windows, rest = self.layers[li]
-            for j, k, ratio2 in windows:
+            lo, hi = bounds[li], bounds[li + 1]
+            for j, k, ratio2 in zip(js[lo:hi], ks[lo:hi], ratios2[lo:hi]):
                 columns[k].reshape(-1, 2, 1 << j)[:, 1] *= ratio2
             cur = weight_sum()
-            out[i] = rest * cur / total
+            out[i] = self._rests[li] * cur / total
             total = cur
         return out
 

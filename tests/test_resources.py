@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gausskit import resources, simulator
 from gausskit.builders import build_poly_phase, layered_full_gaussian
+from gausskit.circuit import LayeredCircuit
 from gausskit.gates import (Control, Gate, GateKind, GaussianSpec,
                             ParameterError, rotation_kernel)
 from gausskit.optimizer import (ErrorBudget, expected_t_depth, prune_layered,
@@ -194,6 +196,43 @@ def test_estimate_core_simulation_count(model_calls):
     rep = estimate(spec, seed=2)
     assert model_calls == [("build",), ("state",), ("probs", packed),
                            ("probs", rep.ordering)]
+
+
+@pytest.mark.parametrize("order, passes", [("optimal", 2), ("identity", 1),
+                                           ("random", 1)])
+def test_estimate_probability_passes_per_order(model_calls, order, passes):
+    # only the optimal order reads the packed-order pass; the identity
+    # order's answer is that pass, and a random order skips it
+    spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-5)
+    rep = estimate(spec, seed=2, order=order)
+    probs = [call for call in model_calls if call[0] == "probs"]
+    assert len(probs) == passes
+    assert probs[-1] == ("probs", rep.ordering)
+
+
+def test_search_probes_build_no_gates_circuits_or_noise_dicts(monkeypatch):
+    # a probe is array operations on the table read once per estimate, so
+    # the Gates and LayeredCircuits an estimate builds do not grow with its
+    # probes (4 here), and no probe draws a noise dict
+    built = collections.Counter()
+    for cls in (Gate, LayeredCircuit):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def no_dict(*args):
+        raise AssertionError("a probe drew a noise dict")
+
+    monkeypatch.setattr(simulator, "realize_noise", no_dict)
+    spec = GaussianSpec(n_qubits=8, alpha=0.99)
+    rep = estimate(spec, target_error=1e-5, seed=2)
+    searched = dict(built)
+    built.clear()
+    estimate(dataclasses.replace(spec, gate_error=rep.delta), seed=2)
+    assert searched == dict(built) and searched["Gate"] > 0
 
 
 def test_estimate_unreachable_target_builds_one_state(model_calls,

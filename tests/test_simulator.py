@@ -17,9 +17,11 @@ from gausskit.builders import (
 from gausskit.circuit import Circuit, Layer, MeasureBarrier
 from gausskit.gates import (ROTATION_KINDS, Control, Gate, GateKind,
                             GaussianSpec, ParameterError, rotation_kernel)
-from gausskit.optimizer import ErrorBudget, pack_layers, prune_layered
+from gausskit.optimizer import (ErrorBudget, pack_layers, prune_distance,
+                                prune_layered)
 from gausskit.simulator import (
     CapacityError,
+    CoreTable,
     GaussianLayerModel,
     _apply_gate,
     ideal_gaussian,
@@ -187,6 +189,21 @@ def test_layered_22q_exceeds_exact_backend(monkeypatch):
         simulate_exact(lay.to_circuit())
 
 
+def test_exact_capacity_checked_before_any_state(monkeypatch):
+    # the peak register, 16 data qubits plus the 7 ancilla of a layer, is
+    # over the cap: the run fails before it allocates the 1 MB data state
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", "10")
+    circ = layered_full_gaussian(16, 0.999).to_circuit()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            simulate_exact(circ)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 16) * 16
+
+
 def test_l2_error_trivial_cases():
     a = np.array([1.0, 0.0])
     assert l2_error(a, a) == 0.0
@@ -276,6 +293,20 @@ def test_apply_gate_matches_dense_kronecker_operator(data):
     _apply_gate(vec, gate, alpha, {gate: p} if noisy else None,
                 bits.__getitem__)
     np.testing.assert_allclose(vec, expected, rtol=0, atol=1e-13)
+
+
+def test_realize_noise_is_one_draw_of_single_perturbations():
+    # one (G, 3) normal array gives, bit for bit, the G perturbations that
+    # G single draws give, in gate order
+    gates = layered_full_gaussian(9, 0.99).to_circuit().gates()
+    budget = ErrorBudget.two_to_one(1e-3)
+    noise = realize_noise(gates, budget, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    singles = {g: sample_perturbation(budget.delta_for(g), rng)
+               for g in gates if budget.delta_for(g) > 0.0}
+    assert list(noise) == list(singles) and len(noise) == 9 - 1 + 28
+    for gate, p in singles.items():
+        assert np.array_equal(noise[gate], p)
 
 
 def _noisy_error(lay, budget, seed):
@@ -471,6 +502,75 @@ def test_layer_model_multiplies_repeated_pairs():
         twice, postlude=dataclasses.replace(twice.postlude, elements=())))
     _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), model.state()),
                      model.probs(range(len(twice.layers))), sv, rep)
+
+
+def _probe_budget(full, case, ratio, rng):
+    """A base delta whose budget prunes ``full`` as ``case`` says: nothing,
+    some windows, every window of the layer with the smallest largest
+    deviation, or every A gate."""
+    alpha = full.alpha
+    windows = [[prune_distance(g, alpha) for g in layer.gates]
+               for layer in full.layers]
+    flat = sorted(d for layer in windows for d in layer)
+    a_gates = [prune_distance(g, alpha) for g in full.prelude.gates()
+               if g.kind is GateKind.A]
+    if case == "none":
+        return 0.5 * min(flat[0] / ratio, min(a_gates))
+    if case == "some":
+        levels = sorted(set(flat))
+        return levels[int(rng.integers(1, len(levels)))] / ratio
+    if case == "layer":
+        return min(max(layer) for layer in windows) * (1 + 1e-9) / ratio
+    return max(a_gates) * 1.01
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None, database=None)
+@given(n=st.integers(4, 14), alloc=st.sampled_from(["2to1", "uniform"]),
+       case=st.sampled_from(["none", "some", "layer", "all_a"]),
+       draw=st.integers(0, 2 ** 32 - 1))
+def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
+    # the estimate's probe (table prune, one noise array, array fill)
+    # against pruning, noise dict and flat post-selected run per gate, in
+    # the same random layer order
+    rng = np.random.default_rng(draw)
+    # the top A and window exponents are about 4**(n - 2): 1 - alpha below
+    # 4**-(n - 2) keeps every budget here under the 0.5 a perturbation
+    # allows, and 1e-2 of that puts every A within reach of XH
+    low = 2.0 if case == "all_a" else 0.5
+    eps = 4.0 ** -(n - 2) * 10.0 ** -rng.uniform(low, 4.0)
+    full = layered_full_gaussian(n, 1.0 - eps,
+                                 rounds=pack_layers(n - 1, rng))
+    ratio = 2.0 if alloc == "2to1" else 1.0
+    delta = _probe_budget(full, case, ratio, rng)
+    budget = (ErrorBudget.two_to_one if alloc == "2to1"
+              else ErrorBudget.uniform)(delta)
+    noise_seed = int(rng.integers(2 ** 31))
+
+    table = CoreTable(full)
+    kept = table.kept(budget)
+    model = GaussianLayerModel.from_table(
+        table, kept,
+        table.draw_noise(budget, kept, np.random.default_rng(noise_seed)))
+
+    lay, info = prune_layered(full, budget)
+    assert int((~kept[0]).sum() + (~kept[1]).sum()) == info.total
+    assert model.n_layers == len(lay.layers)
+    assert {"none": info.total == 0,
+            "some": 0 < info.removed_b_gates,
+            "layer": len(lay.layers) < len(full.layers),
+            "all_a": info.replaced_a_gates == n - 1}[case]
+    noise = realize_noise(lay.to_circuit().gates(), budget,
+                          np.random.default_rng(noise_seed))
+    order = tuple(int(i) for i in rng.permutation(len(lay.layers)))
+    ordered = dataclasses.replace(
+        lay, layers=tuple(lay.layers[i] for i in order),
+        postlude=dataclasses.replace(lay.postlude, elements=()))
+    sv, rep = simulate_postselected(ordered, noise=noise)
+    state, probs = model.state(), model.probs(order)
+    np.testing.assert_allclose(np.kron(np.ones(2) / math.sqrt(2), state),
+                               sv.amplitudes, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(probs, rep.layer_probs, rtol=0, atol=1e-13)
 
 
 def test_core_pipeline_capacity_boundary(monkeypatch):
