@@ -177,6 +177,9 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     file fixes its own layer order, so it takes no ``--order``.  Only a
     file is compared against a ``--family`` target, and only with one is
     ``--d``, ``--q`` or ``--ideal`` read, where that family uses it.
+
+    A circuit file runs on the flat post-selected engine, and a spec,
+    noisy or not, on the core-register model ``GaussianLayerModel``.
     """
     q = _ints(qform, 3, "--q")
     unread = {}
@@ -218,28 +221,26 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
                 ideal = FAMILIES[family][1]
                 eps = simulator.l2_error(ideal(ns, alpha, degree, q, tail),
                                          state.amplitudes)
-            gamma = rep.subnormalization
             probs = rep.layer_probs
         elif delta == 0.0:
-            # noiseless reference run: no budget, so no T-depth figure
+            # noiseless run, layers in packed order, with no budget and so
+            # no T-depth; probs() checks capacity before the ideal exists
             alpha = GaussianSpec(n_qubits=n_qubits, alpha=alpha,
                                  beta=beta).derived_alpha
-            state, rep = simulator.simulate_postselected(
+            model = simulator.GaussianLayerModel(
                 builders.layered_full_gaussian(n_qubits, alpha))
+            probs = model.probs(range(model.n_layers)).tolist()
             eps = simulator.l2_error(
-                simulator.ideal_gaussian(n_qubits, alpha), state.amplitudes)
+                simulator.ideal_core_half_shifted(n_qubits - 1, alpha),
+                model.state())
             et = math.nan
-            gamma = rep.subnormalization
-            probs = rep.layer_probs
         else:
             spec = GaussianSpec(n_qubits=n_qubits, alpha=alpha, beta=beta,
                                 gate_error=delta)
             report = resources.estimate(spec, seed=seed, order=order,
                                         alloc=alloc)
             eps, et = report.l2_error, report.expected_t_depth
-            alpha = report.alpha
-            gamma = report.subnormalization
-            probs = report.layer_probs
+            alpha, probs = report.alpha, report.layer_probs
     except textio.CircuitParseError as exc:
         _fail(EXIT_PARSE, str(exc))
     except simulator.CapacityError as exc:
@@ -247,6 +248,7 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     except ParameterError as exc:
         raise click.UsageError(str(exc))
 
+    gamma = math.sqrt(float(np.prod(probs)))
     click.echo(f"data qubits:      {n_qubits}")
     click.echo(f"epsilon (L2):     {eps:.6e}")
     click.echo(f"gamma:            {gamma:.12f}")

@@ -221,10 +221,8 @@ def order_layers(layers: list[tuple[float, float]]) -> OrderingPlan:
     is optimal for any number of layers.  With equal costs it runs the
     riskiest layers first.  Rounding can merge the ratios of two distinct
     probabilities, so ties break by probability, then by original index.
+    No layers, as when pruning drops every window, is the empty plan.
     """
-    if not layers:
-        raise ParameterError("need at least one layer")
-
     def key(i):
         n_k, p_k = layers[i]
         return (n_k / (1.0 - p_k) if p_k < 1.0 else math.inf, p_k, i)

@@ -1,6 +1,6 @@
 """Statevector simulation: exact, post-selected, and noisy.
 
-Three engines, one job each:
+Three engines, one per register; the two flat ones serve circuit files:
 
 * ``simulate_exact`` carries every live ancilla as a real tensor factor
   and projects it at its measurement barrier; memory is 2**(data + live).
@@ -8,7 +8,8 @@ Three engines, one job each:
 * ``simulate_postselected`` runs any flat circuit on the data register
   alone: an ancilla-targeted window multiplies the control-satisfied
   block of the state in place, which is what makes 20+ qubit runs cheap.
-* ``GaussianLayerModel`` runs the core register of a layered Gaussian.
+* ``GaussianLayerModel`` runs the core register of every layered Gaussian
+  built from a spec, noisy or not.
   Each window is a factor R[j, k]**(x_j*x_k) on a pair of core bits, so
   the windows commute: ``state()`` builds the one final state of every
   layer order by doubling over the bits, each new half the old one times
@@ -297,7 +298,7 @@ def _window_factors(gate: Gate, alpha: float,
     return complex(kernel[0, 0]), 1.0 + 0.0j
 
 
-def simulate_postselected(circuit: Circuit | LayeredCircuit,
+def simulate_postselected(circuit: Circuit,
                           noise: NoiseRealization | None = None
                           ) -> tuple[StateVector, SimReport]:
     """Data-register-only simulation through strided block views.
@@ -306,8 +307,6 @@ def simulate_postselected(circuit: Circuit | LayeredCircuit,
     control subspace (the block-encoding identity); barriers record the
     accumulated norm loss as that round's success probability.
     """
-    if isinstance(circuit, LayeredCircuit):
-        circuit = circuit.to_circuit()
     n = circuit.data_qubits
     _check_capacity(n)
     state = np.zeros(1 << n, dtype=complex)
@@ -659,7 +658,8 @@ class GaussianLayerModel:
         the weights of the low core - 1 bits are refilled by doubling, and
         the top bit is summed out against its column.  A layer's
         probability is the ratio of the weight sums after and before,
-        times its |f_rest|**2.
+        times its |f_rest|**2; before any layer joins, the bits are
+        independent and the sum is the product of each bit's w0 + w1.
         """
         # tracemalloc peak: 1.01 and 0.78 states at core 15 and 18, the
         # 0.75 of the columns and the low weights plus the fixed 128 KB
@@ -671,24 +671,19 @@ class GaussianLayerModel:
         low = np.empty(1 << top)
         doublings = [(low[:1 << k], columns[k], low[1 << k:2 << k], w0)
                      for k, (w0, _) in enumerate(weights[:top])]
-
-        def weight_sum() -> float:
-            low[0] = 1.0
-            for lower, column, upper, w0 in doublings:
-                np.multiply(lower, column, out=upper)
-                lower *= w0
-            return (weights[top][0] * float(low.sum())
-                    + float(low @ columns[top]))
-
         bounds = self._bounds.tolist()
         js, ks, ratios2 = (a.tolist() for a in self._windows)
-        total = weight_sum()
+        total = math.prod(w0 + w1 for w0, w1 in weights)
         out = np.empty(len(order))
         for i, li in enumerate(order):
             lo, hi = bounds[li], bounds[li + 1]
             for j, k, ratio2 in zip(js[lo:hi], ks[lo:hi], ratios2[lo:hi]):
                 columns[k].reshape(-1, 2, 1 << j)[:, 1] *= ratio2
-            cur = weight_sum()
+            low[0] = 1.0
+            for lower, column, upper, w0 in doublings:
+                np.multiply(lower, column, out=upper)
+                lower *= w0
+            cur = weights[top][0] * float(low.sum()) + float(low @ columns[top])
             out[i] = self._rests[li] * cur / total
             total = cur
         return out

@@ -183,7 +183,8 @@ def test_layered_gaussian_shapes():
 
 def test_layered_matches_flat():
     for n, alpha in [(4, 0.6), (6, 0.9), (8, 0.97)]:
-        sv_lay, _ = simulate_postselected(layered_full_gaussian(n, alpha))
+        sv_lay, _ = simulate_postselected(
+            layered_full_gaussian(n, alpha).to_circuit())
         sv_flat, _ = simulate_postselected(build_full_gaussian(n, alpha))
         assert l2_error(sv_lay.amplitudes, sv_flat.amplitudes) < 1e-12
 

@@ -3,13 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gausskit import textio
+from gausskit import simulator, textio
+from gausskit.builders import layered_full_gaussian
 from gausskit.circuit import validate
 from gausskit.cli import FAMILIES, main
-from gausskit.gates import GateKind
+from gausskit.gates import GateKind, GaussianSpec
 
 
 @pytest.fixture
@@ -344,6 +346,60 @@ def test_simulate_capacity_exit_4(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["simulate", "--n", "18",
                                   "--alpha", "0.9999999"])
     assert result.exit_code == 4
+
+
+@pytest.mark.parametrize("n, option, value", [
+    (6, "alpha", 0.9), (12, "alpha", 0.999999), (16, "alpha", 0.99999),
+    (10, "beta", 0.01)], ids=["n6", "n12", "n16", "beta"])
+def test_noiseless_spec_run_matches_flat_oracle(runner, monkeypatch, tmp_path,
+                                                n, option, value):
+    # the core-register run against the flat engine on all n qubits; the
+    # CSV row carries gamma at full precision, and the spy the
+    # probabilities the report prints
+    probs, seen = simulator.GaussianLayerModel.probs, []
+
+    def spy(self, order):
+        seen.append(probs(self, order))
+        return seen[-1]
+
+    monkeypatch.setattr(simulator.GaussianLayerModel, "probs", spy)
+    row = tmp_path / "row.csv"
+    result = runner.invoke(main, ["simulate", "--n", str(n),
+                                  f"--{option}", str(value), "--out", str(row)])
+    assert result.exit_code == 0
+    alpha = GaussianSpec(n_qubits=n, **{option: value}).derived_alpha
+    _, flat = simulator.simulate_postselected(
+        layered_full_gaussian(n, alpha).to_circuit())
+    fields = row.read_text().splitlines()[1].split(",")
+    assert float(fields[4]) == pytest.approx(flat.subnormalization,
+                                             rel=0, abs=1e-12)
+    assert int(fields[6]) == len(flat.layer_probs) == len(seen[0])
+    np.testing.assert_allclose(seen[0], flat.layer_probs, rtol=0, atol=1e-10)
+    assert _epsilon(result.output) <= 1e-14
+
+
+def test_noiseless_spec_run_capacity_is_the_core_register(runner, monkeypatch):
+    # n = 16 needs one state of the 15 core bits plus numpy's fixed ufunc
+    # buffers (0.79 MB), not the two 16-bit states of a flat run (2.36 MB)
+    need_mb = ((1 << 15) * 16 + 2 * 8192 * 16 + 4096) / 1e6
+    args = ["simulate", "--n", "16", "--alpha", "0.9999999"]
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+    assert runner.invoke(main, args).exit_code == 0
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+    assert runner.invoke(main, args).exit_code == 4
+
+
+def test_runs_whose_windows_are_all_pruned(runner):
+    # at alpha = 0.99999 and n = 4, these deltas prune every window: the
+    # run has no layers to order, and the sweep keeps its whole grid
+    sim = runner.invoke(main, ["simulate", "--n", "4", "--alpha", "0.99999",
+                               "--delta", "1e-3"])
+    assert sim.exit_code == 0
+    sweep = runner.invoke(main, ["sweep", "--n", "4", "--alpha", "0.99999",
+                                 "--axis", "delta=1e-4:1e-2:3"])
+    assert sweep.exit_code == 0
+    rows = [r.split(",") for r in sweep.output.strip().splitlines()[1:]]
+    assert [int(r[6]) for r in rows] == [0, 0, 0]
 
 
 def test_simulate_deterministic_under_seed(runner):

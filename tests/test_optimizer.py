@@ -104,6 +104,11 @@ def test_order_layers_sorts_by_probability():
     assert plan.permutation == (1, 0, 2)
 
 
+def test_order_layers_of_no_layers_is_the_empty_plan():
+    plan = order_layers([])
+    assert plan.permutation == () and plan.predicted_expected_t_depth == 0.0
+
+
 def test_order_layers_two_layer_preference():
     risky_first = expected_t_depth(0.0, [(4.0, 0.5), (4.0, 0.9)])
     safe_first = expected_t_depth(0.0, [(4.0, 0.9), (4.0, 0.5)])
@@ -217,8 +222,8 @@ def test_prune_layered_drops_empty_layers():
     pruned, info = prune_layered(lay, budget)
     assert info.removed_b_gates > 0
     assert len(pruned.layers) <= len(lay.layers)
-    sv_p, _ = simulate_postselected(pruned)
-    sv_f, _ = simulate_postselected(lay)
+    sv_p, _ = simulate_postselected(pruned.to_circuit())
+    sv_f, _ = simulate_postselected(lay.to_circuit())
     assert l2_error(sv_p.amplitudes, sv_f.amplitudes) <= info.total * 1e-2
 
 

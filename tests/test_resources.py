@@ -137,6 +137,17 @@ def test_estimate_optimal_no_worse_than_identity():
     assert opt.expected_t_depth <= ident.expected_t_depth + 1e-9
 
 
+def test_estimate_with_every_window_pruned():
+    # delta = 1e-3 prunes all three windows of n = 4 at alpha = 0.99999:
+    # every order is the empty plan, and the runs report the same numbers
+    spec = GaussianSpec(n_qubits=4, alpha=0.99999, gate_error=1e-3)
+    reports = [estimate(spec, seed=0, order=order)
+               for order in ("optimal", "identity", "random")]
+    assert reports[0].layer_probs == () and reports[0].ordering == ()
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert reports[0].subnormalization == 1.0
+
+
 def test_estimate_target_error_search():
     spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-3)
     rep = estimate(spec, target_error=1e-5, seed=2)
@@ -475,7 +486,7 @@ def test_estimate_core_error_equals_full_register_error():
                           np.random.default_rng(6))
     layered = layered.with_layers(
         tuple(layered.layers[i] for i in rep.ordering))
-    state, full_rep = simulate_postselected(layered, noise=noise)
+    state, full_rep = simulate_postselected(layered.to_circuit(), noise=noise)
     eps_full = l2_error(ideal_gaussian(8, 0.995), state.amplitudes)
     assert rep.l2_error == pytest.approx(eps_full, rel=1e-9, abs=1e-14)
     assert full_rep.layer_probs == pytest.approx(rep.layer_probs, abs=1e-12)

@@ -313,7 +313,7 @@ def _noisy_error(lay, budget, seed):
     """(error against the closed form, report) of one noisy flat run."""
     noise = realize_noise(lay.to_circuit().gates(), budget,
                           np.random.default_rng(seed))
-    state, rep = simulate_postselected(lay, noise=noise)
+    state, rep = simulate_postselected(lay.to_circuit(), noise=noise)
     eps = l2_error(ideal_gaussian(lay.data_qubits, lay.alpha), state.amplitudes)
     return eps, rep
 
@@ -394,7 +394,7 @@ def test_core_pipeline_matches_full_simulation():
     model = GaussianLayerModel(lay)
     core_state = model.state()
     probs = model.probs(range(len(lay.layers)))
-    _, rep = simulate_postselected(lay)
+    _, rep = simulate_postselected(lay.to_circuit())
     assert list(probs) == pytest.approx(list(rep.layer_probs), abs=1e-13)
     ideal_core = np.exp(math.log(0.9) * (np.arange(64) + 0.5) ** 2)
     ideal_core /= np.linalg.norm(ideal_core)
@@ -499,7 +499,8 @@ def test_layer_model_multiplies_repeated_pairs():
     twice = lay.with_layers(lay.layers + lay.layers[:1])
     model = GaussianLayerModel(twice)
     sv, rep = simulate_postselected(dataclasses.replace(
-        twice, postlude=dataclasses.replace(twice.postlude, elements=())))
+        twice, postlude=dataclasses.replace(twice.postlude, elements=())
+    ).to_circuit())
     _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), model.state()),
                      model.probs(range(len(twice.layers))), sv, rep)
 
@@ -566,7 +567,7 @@ def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
     ordered = dataclasses.replace(
         lay, layers=tuple(lay.layers[i] for i in order),
         postlude=dataclasses.replace(lay.postlude, elements=()))
-    sv, rep = simulate_postselected(ordered, noise=noise)
+    sv, rep = simulate_postselected(ordered.to_circuit(), noise=noise)
     state, probs = model.state(), model.probs(order)
     np.testing.assert_allclose(np.kron(np.ones(2) / math.sqrt(2), state),
                                sv.amplitudes, rtol=0, atol=1e-13)
@@ -604,7 +605,8 @@ def test_layer_model_matches_sequential_probs():
     model = GaussianLayerModel(lay)
     identity = list(range(len(lay.layers)))
     np.testing.assert_allclose(model.probs(identity),
-                               simulate_postselected(lay)[1].layer_probs,
+                               simulate_postselected(
+                                   lay.to_circuit())[1].layer_probs,
                                atol=1e-12)
     # any reordering keeps the product (windows commute)
     rng = np.random.default_rng(2)
@@ -622,7 +624,7 @@ def test_layer_model_matches_sequential_probs():
     ordered = dataclasses.replace(
         lay, layers=tuple(lay.layers[i] for i in order),
         postlude=dataclasses.replace(lay.postlude, elements=()))
-    sv, rep = simulate_postselected(ordered, noise=noise)
+    sv, rep = simulate_postselected(ordered.to_circuit(), noise=noise)
     _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), model.state()),
                      model.probs(order), sv, rep)
 
