@@ -223,10 +223,10 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
                                          state.amplitudes)
             probs = rep.layer_probs
         elif delta == 0.0:
-            # noiseless run, layers in packed order, with no budget and so
-            # no T-depth; probs() checks capacity before the ideal exists
+            # noiseless run in packed order, with no budget, so no T-depth
             alpha = GaussianSpec(n_qubits=n_qubits, alpha=alpha,
                                  beta=beta).derived_alpha
+            simulator.check_spec_capacity(n_qubits - 1)
             model = simulator.GaussianLayerModel(
                 builders.layered_full_gaussian(n_qubits, alpha))
             probs = model.probs(range(model.n_layers)).tolist()

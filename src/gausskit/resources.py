@@ -151,8 +151,8 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
              ) -> EstimateReport:
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
-    The layered circuit is built once and read once into a
-    ``simulator.CoreTable``.  Every gate budget then runs one probe of
+    Once capacity is checked, the layered circuit is built and read once
+    into a ``simulator.CoreTable``.  Every gate budget then runs one probe of
     array operations: prune the table's rows against the budget, draw
     noise from ``seed`` in gate order of the pruned circuit, fill the
     core-register model and take the error from its state.  The windows
@@ -178,6 +178,7 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     """
     if order not in ("optimal", "identity", "random"):
         raise ParameterError(f"unknown ordering scheme {order!r}")
+    simulator.check_spec_capacity(spec.n_qubits - 1)
     alpha = spec.derived_alpha
     full = layered_full_gaussian(spec.n_qubits, alpha)
     table = simulator.CoreTable(full)

@@ -13,14 +13,13 @@ Three engines, one per register; the two flat ones serve circuit files:
   Each window is a factor R[j, k]**(x_j*x_k) on a pair of core bits, so
   the windows commute: ``state()`` builds the one final state of every
   layer order by doubling over the bits, each new half the old one times
-  a column of pair factors, and ``probs(order)`` takes the success
-  probabilities of an order from the real weights |amplitude|**2 the
-  same way, a layer at a time.  It reads its circuit into a ``CoreTable``
-  of arrays, one row per prelude gate and per window; ``estimate`` reads
-  the unpruned circuit once and each gate budget it tries is a probe:
-  ``CoreTable.kept`` prunes rows against the budget, ``draw_noise`` draws
-  the kept rotations' noise as one array and
-  ``GaussianLayerModel.from_table`` fills the model from the kept rows.
+  a column of pair factors.  ``probs(order)`` refills the real weights
+  |amplitude|**2 of the low bits the same way as each layer joins, from
+  columns stored on 12 bits and scalars above, and folds the top bit out
+  in place.  ``estimate`` reads the circuit once into a ``CoreTable`` of
+  arrays, and each gate budget it tries is a probe: ``CoreTable.kept``
+  prunes rows, ``draw_noise`` draws the kept rotations' noise as one
+  array and ``GaussianLayerModel.from_table`` fills the model.
 
 The flat engines touch a state only through ``_block``, the strided view
 that fixes some bits and leaves the rest free: a gate applies its 2x2
@@ -341,6 +340,14 @@ def simulate_postselected(circuit: Circuit,
 
 
 _CHUNK = 1 << 15  # l2_error's buffer: 512 KB of complex differences
+_LOW_BITS = 12  # probs() stores the column factors on these low bits
+
+
+def check_spec_capacity(core: int) -> None:
+    """Refuse a spec run on ``core`` bits before it allocates: its peak is
+    the core state, the float64 ideal (half a state) and ``l2_error``'s
+    chunk (traced: 2.89, 1.68 and 1.52 states at core 15, 18 and 21)."""
+    _check_capacity(core, copies=1.5 + min(_CHUNK, 1 << core) / (1 << core))
 
 
 def l2_error(a, b) -> float:
@@ -445,8 +452,13 @@ def ideal_gaussian_2d(n_x: int, n_y: int, q, alpha: float) -> np.ndarray:
 
 def ideal_core_half_shifted(core: int, alpha: float) -> np.ndarray:
     """Normalized alpha**((y+1/2)**2): the full Gaussian before symmetrization."""
-    y = np.arange(1 << core, dtype=float)
-    return _normalized(np.exp(math.log(alpha) * (y + 0.5) ** 2))
+    out = np.arange(1 << core, dtype=float)  # the only 2**core buffer
+    out += 0.5
+    np.square(out, out=out)
+    out *= math.log(alpha)
+    np.exp(out, out=out)
+    out /= np.linalg.norm(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -651,39 +663,56 @@ class GaussianLayerModel:
     def probs(self, order) -> np.ndarray:
         """Each layer's success probability when the layers run in ``order``.
 
-        The real weights |amplitude|**2 factor like the amplitudes, with
-        one float64 column per bit k: |a_k(1)|**2 times the |ratio|**2 of
-        each joined window (j, k) where x_j = 1, 2**core - 1 entries in
-        all.  A joining layer multiplies each window into its column once,
-        the weights of the low core - 1 bits are refilled by doubling, and
-        the top bit is summed out against its column.  A layer's
-        probability is the ratio of the weight sums after and before,
-        times its |f_rest|**2; before any layer joins, the bits are
-        independent and the sum is the product of each bit's w0 + w1.
+        The real weights |amplitude|**2 factor like the amplitudes.  Divided
+        by its w0 > 0, which keeps every ratio of sums, bit k weighs 1 at
+        x_k = 0 and c_k * prod_{j<k} R2[j, k]**x_j at x_k = 1, with
+        c_k = w1/w0 and R2 the joined windows' |ratio|**2.  That column is
+        stored on the low b = _LOW_BITS bits, at most 2**b entries that a
+        window multiplies strided, and held as scalars above them.  As each
+        layer joins, the weights of the low core - 1 bits are refilled by
+        doubling, and the top bit is summed out with no column: their sum
+        plus their in-place fold over its scalars, dotted with its stored
+        part.  A layer's probability is the ratio of the sums after and
+        before, times its |f_rest|**2; the first sum is prod(1 + c_k).  No
+        BLAS call sees more than 2**b elements: above about 2**14, a
+        level-1 call can wait milliseconds for a helper thread to wake.
         """
-        # tracemalloc peak: 1.01 and 0.78 states at core 15 and 18, the
-        # 0.75 of the columns and the low weights plus the fixed 128 KB
-        # that numpy buffers a strided column multiply through
+        # tracemalloc peak: 0.59, 0.32 and 0.26 states at core 15, 18 and
+        # 21, the 0.25 of the low weights plus the stored columns
         _check_capacity(self.core, copies=1.0)
-        top = self.core - 1
-        weights = (np.abs(self.qubits) ** 2).tolist()
-        columns = [np.full(1 << k, w1) for k, (_, w1) in enumerate(weights)]
+        top, b = self.core - 1, _LOW_BITS
+        ratios = (np.abs(self.qubits[:, 1] / self.qubits[:, 0]) ** 2).tolist()
+        stored = [np.full(1 << min(k, b), c) for k, c in enumerate(ratios)]
+        scalars = [[1.0] * (k - b) for k in range(self.core)]  # R2[b:k, k]
         low = np.empty(1 << top)
-        doublings = [(low[:1 << k], columns[k], low[1 << k:2 << k], w0)
-                     for k, (w0, _) in enumerate(weights[:top])]
+        levels = [(low[:1 << k], stored[k], low[1 << k:2 << k], scalars[k])
+                  for k in range(top)]
         bounds = self._bounds.tolist()
         js, ks, ratios2 = (a.tolist() for a in self._windows)
-        total = math.prod(w0 + w1 for w0, w1 in weights)
+        total = math.prod(1.0 + c for c in ratios)
         out = np.empty(len(order))
         for i, li in enumerate(order):
             lo, hi = bounds[li], bounds[li + 1]
             for j, k, ratio2 in zip(js[lo:hi], ks[lo:hi], ratios2[lo:hi]):
-                columns[k].reshape(-1, 2, 1 << j)[:, 1] *= ratio2
+                if j < b:
+                    stored[k].reshape(-1, 2, 1 << j)[:, 1] *= ratio2
+                else:
+                    scalars[k][j - b] *= ratio2
             low[0] = 1.0
-            for lower, column, upper, w0 in doublings:
-                np.multiply(lower, column, out=upper)
-                lower *= w0
-            cur = weights[top][0] * float(low.sum()) + float(low @ columns[top])
+            for lower, part, upper, rs in levels:
+                if rs:
+                    upper[:part.size] = part
+                    for j, r in enumerate(rs, b):
+                        np.multiply(upper[:1 << j], r, out=upper[1 << j:2 << j])
+                    upper *= lower
+                else:
+                    np.multiply(lower, part, out=upper)
+            cur = float(low.sum())
+            for j in range(top - 1, b - 1, -1):
+                upper = low[1 << j:2 << j]
+                upper *= scalars[top][j - b]
+                low[:1 << j] += upper
+            cur += float(low[:stored[top].size] @ stored[top])
             out[i] = self._rests[li] * cur / total
             total = cur
         return out

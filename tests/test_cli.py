@@ -1,6 +1,7 @@
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,14 +380,22 @@ def test_noiseless_spec_run_matches_flat_oracle(runner, monkeypatch, tmp_path,
 
 
 def test_noiseless_spec_run_capacity_is_the_core_register(runner, monkeypatch):
-    # n = 16 needs one state of the 15 core bits plus numpy's fixed ufunc
-    # buffers (0.79 MB), not the two 16-bit states of a flat run (2.36 MB)
-    need_mb = ((1 << 15) * 16 + 2 * 8192 * 16 + 4096) / 1e6
+    # n = 16 needs the state of the 15 core bits, the float64 ideal (half a
+    # state), l2_error's chunk (a whole state at 15 bits) and numpy's fixed
+    # ufunc buffers (1.58 MB), not the two 16-bit states of a flat run
+    # (2.36 MB)
+    need_mb = ((1 << 15) * 16 * 2.5 + 2 * 8192 * 16 + 4096) / 1e6
     args = ["simulate", "--n", "16", "--alpha", "0.9999999"]
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
     assert runner.invoke(main, args).exit_code == 0
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
-    assert runner.invoke(main, args).exit_code == 4
+    tracemalloc.start()
+    try:
+        assert runner.invoke(main, args).exit_code == 4
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 15) * 16 / 4  # refused before the state or the ideal
 
 
 def test_runs_whose_windows_are_all_pruned(runner):

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,36 @@ def test_estimate_with_every_window_pruned():
     assert reports[0].layer_probs == () and reports[0].ordering == ()
     assert reports[1] == reports[0] and reports[2] == reports[0]
     assert reports[0].subnormalization == 1.0
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [12, 16, 19])
+def test_estimate_capacity_covers_state_ideal_and_chunk(monkeypatch, n):
+    # the need: the complex core state, the float64 ideal (half a state),
+    # l2_error's chunk of at most 2**15 complex entries and numpy's fixed
+    # buffers; a cap just below it refuses the run before the ideal or the
+    # state exists, and the run it admits stays under it
+    core = n - 1
+    spec = GaussianSpec(n_qubits=n, beta=1e-3, gate_error=1e-6)
+    chunk = min(1 << 15, 1 << core) * 16
+    need = (1 << core) * 16 * 1.5 + chunk + 2 * 8192 * 16 + 4096
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need * 0.99 / 1e6))
+
+    def refused():
+        with pytest.raises(simulator.CapacityError):
+            estimate(spec)
+
+    assert _traced_peak(refused) < (1 << core) * 16 / 4
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need * 1.01 / 1e6))
+    assert _traced_peak(lambda: estimate(spec)) <= need
 
 
 def test_estimate_target_error_search():

@@ -23,7 +23,9 @@ from gausskit.simulator import (
     CapacityError,
     CoreTable,
     GaussianLayerModel,
+    _LOW_BITS,
     _apply_gate,
+    ideal_core_half_shifted,
     ideal_gaussian,
     l2_error,
     realize_noise,
@@ -627,6 +629,45 @@ def test_layer_model_matches_sequential_probs():
     sv, rep = simulate_postselected(ordered.to_circuit(), noise=noise)
     _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), model.state()),
                      model.probs(order), sv, rep)
+
+
+@pytest.mark.parametrize("random_order", [False, True],
+                         ids=["identity", "random"])
+@pytest.mark.parametrize("extra", [1, 2, 4])
+def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
+    # probs() stores each column's factors on the low _LOW_BITS bits and
+    # keeps those above as scalars: up to n = b + 2 every column is stored,
+    # at n = b + 4 the top columns have scalars and the top bit folds over
+    # them; a noisy, pruned run against the flat circuit in that order
+    n = _LOW_BITS + extra
+    budget = ErrorBudget.two_to_one(1e-3)
+    lay, info = prune_layered(layered_full_gaussian(n, 1 - 1e-8), budget)
+    assert info.removed_b_gates > 0 and info.replaced_a_gates > 0
+    high = [g for layer in lay.layers for g in layer.gates
+            if min(c.qubit for c in g.controls) >= _LOW_BITS]
+    assert bool(high) == (extra > 2)
+    rng = np.random.default_rng(n)
+    noise = realize_noise(lay.to_circuit().gates(), budget, rng)
+    order = tuple(range(len(lay.layers)))
+    if random_order:
+        order = tuple(int(i) for i in rng.permutation(len(order)))
+    ordered = dataclasses.replace(
+        lay, layers=tuple(lay.layers[i] for i in order),
+        postlude=dataclasses.replace(lay.postlude, elements=()))
+    _, rep = simulate_postselected(ordered.to_circuit(), noise=noise)
+    np.testing.assert_allclose(
+        GaussianLayerModel(lay, noise=noise).probs(order), rep.layer_probs,
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("core", [12, 15, 18])
+def test_ideal_core_half_shifted_is_the_closed_form(core):
+    # built in one buffer, bit for bit the expression it stands for
+    alpha = 1 - 1e-7
+    y = np.arange(1 << core, dtype=float)
+    amps = np.exp(math.log(alpha) * (y + 0.5) ** 2)
+    assert np.array_equal(ideal_core_half_shifted(core, alpha),
+                          amps / np.linalg.norm(amps))
 
 
 def test_monte_carlo_known_mean():
