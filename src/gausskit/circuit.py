@@ -63,9 +63,6 @@ class Circuit:
             and (n_controls is None or len(g.controls) == n_controls)
         )
 
-    def extended(self, *elements: Element) -> "Circuit":
-        return replace(self, elements=self.elements + tuple(elements))
-
 
 def validate(circuit: Circuit) -> list[str]:
     """Check circuit invariants; returns one message per violation.
@@ -130,14 +127,6 @@ class Layer:
                 raise ParameterError("layer control sets must be disjoint")
             used |= ctl
         object.__setattr__(self, "gates", tuple(self.gates))
-
-    @property
-    def control_pairs(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for g in self.gates:
-            a, b = (c.qubit for c in g.controls)
-            out.append((min(a, b), max(a, b)))
-        return tuple(out)
 
     @property
     def ancilla(self) -> tuple[int, ...]:

@@ -221,7 +221,6 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
                 ideal = FAMILIES[family][1]
                 eps = simulator.l2_error(ideal(ns, alpha, degree, q, tail),
                                          state.amplitudes)
-            probs = rep.layer_probs
         elif delta == 0.0:
             # noiseless run in packed order, with no budget, so no T-depth
             alpha = GaussianSpec(n_qubits=n_qubits, alpha=alpha,
@@ -229,7 +228,8 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
             simulator.check_spec_capacity(n_qubits - 1)
             model = simulator.GaussianLayerModel(
                 builders.layered_full_gaussian(n_qubits, alpha))
-            probs = model.probs(range(model.n_layers)).tolist()
+            rep = simulator.SimReport(
+                tuple(model.probs(range(model.n_layers)).tolist()))
             eps = simulator.l2_error(
                 simulator.ideal_core_half_shifted(n_qubits - 1, alpha),
                 model.state())
@@ -237,10 +237,9 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
         else:
             spec = GaussianSpec(n_qubits=n_qubits, alpha=alpha, beta=beta,
                                 gate_error=delta)
-            report = resources.estimate(spec, seed=seed, order=order,
-                                        alloc=alloc)
-            eps, et = report.l2_error, report.expected_t_depth
-            alpha, probs = report.alpha, report.layer_probs
+            rep = resources.estimate(spec, seed=seed, order=order,
+                                     alloc=alloc)
+            eps, et, alpha = rep.l2_error, rep.expected_t_depth, rep.alpha
     except textio.CircuitParseError as exc:
         _fail(EXIT_PARSE, str(exc))
     except simulator.CapacityError as exc:
@@ -248,7 +247,7 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
     except ParameterError as exc:
         raise click.UsageError(str(exc))
 
-    gamma = math.sqrt(float(np.prod(probs)))
+    gamma, probs = rep.subnormalization, rep.layer_probs
     click.echo(f"data qubits:      {n_qubits}")
     click.echo(f"epsilon (L2):     {eps:.6e}")
     click.echo(f"gamma:            {gamma:.12f}")

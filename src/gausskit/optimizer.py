@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
 from .circuit import Circuit, Layer, LayeredCircuit, MeasureBarrier
 from .gates import (CLIFFORD_KINDS, Gate, GateKind, ParameterError,
                     a_xh_distance, alpha_power)
@@ -237,11 +235,20 @@ def order_layers(layers: list[tuple[float, float]]) -> OrderingPlan:
 
 def alpha_matching_gate_error(delta: float) -> float:
     """The alpha with ||A(1) - XH|| = delta: the bottom-most merged rotation
-    is exactly significant enough that nothing is pruned."""
+    is exactly significant enough that nothing is pruned.
+
+    With a = alpha**2 = tan(theta), ||A(1) - XH||**2 = 2 - sqrt(2) * (1 + a)
+    / sqrt(1 + a**2) = 2 - 2 * sin(theta + pi/4), so theta = pi/4 - 2 *
+    asin(delta/2) and alpha = sqrt((1 - t)/(1 + t)) with t = tan(2 *
+    asin(delta/2)).  Rounding can leave that alpha's distance a few ulps
+    under delta, where the prune rule would drop the gate; alpha steps
+    down one float at a time until the distance is at least delta (at
+    most 2 steps over 3000 deltas in [1e-15, 0.3)).
+    """
     if not (0.0 < delta < 0.3):
         raise ParameterError("coupling is defined for small delta")
-
-    def f(alpha: float) -> float:
-        return a_xh_distance(alpha, 1.0) - delta
-
-    return brentq(f, 1e-9, 1.0 - 1e-15, xtol=1e-15, rtol=8.9e-16)
+    t = math.tan(2.0 * math.asin(0.5 * delta))
+    alpha = math.sqrt((1.0 - t) / (1.0 + t))
+    while a_xh_distance(alpha, 1.0) < delta:
+        alpha = math.nextafter(alpha, 0.0)
+    return alpha

@@ -128,12 +128,15 @@ class EstimateReport:
     beta: float | None
     delta: float
     l2_error: float
-    subnormalization: float
     layer_probs: tuple[float, ...]
     expected_t_depth: float
     ordering: tuple[int, ...]
     pruned_gates: int
     seed: int
+
+    @property
+    def subnormalization(self) -> float:
+        return simulator.subnormalization(self.layer_probs)
 
 
 @dataclass(frozen=True)
@@ -201,14 +204,12 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
         permutation = plan.permutation
     probs = run.model.probs(permutation).tolist()
     et = expected_t_depth(n0, list(zip(nks, probs)))
-    gamma2 = float(np.prod(probs)) if probs else 1.0
     return EstimateReport(
         n_qubits=spec.n_qubits,
         alpha=alpha,
         beta=spec.beta,
         delta=run.budget.delta_gate,
         l2_error=run.eps,
-        subnormalization=math.sqrt(gamma2),
         layer_probs=tuple(probs),
         expected_t_depth=et,
         ordering=permutation,

@@ -91,10 +91,19 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def subnormalization(layer_probs) -> float:
+    """gamma, the square root of the product of the per-barrier success
+    probabilities (1 with no barrier)."""
+    return math.sqrt(float(np.prod(layer_probs)))
+
+
 @dataclass(frozen=True)
 class SimReport:
-    subnormalization: float
     layer_probs: tuple[float, ...]
+
+    @property
+    def subnormalization(self) -> float:
+        return subnormalization(self.layer_probs)
 
 
 NoiseRealization = dict[Gate, np.ndarray]
@@ -263,11 +272,8 @@ def simulate_exact(circuit: Circuit,
     if position:
         raise ParameterError(
             f"circuit ended with unmeasured live ancilla {sorted(position)}")
-    gamma2 = float(np.prod(probs)) if probs else 1.0
-    sv = StateVector(n_qubits=n_data, amplitudes=state)
-    report = SimReport(subnormalization=math.sqrt(gamma2),
-                       layer_probs=tuple(probs))
-    return sv, report
+    return (StateVector(n_qubits=n_data, amplitudes=state),
+            SimReport(layer_probs=tuple(probs)))
 
 
 def _apply_window(vec: np.ndarray, controls, factor) -> None:
@@ -332,11 +338,8 @@ def simulate_postselected(circuit: Circuit,
     if scale != 1.0:
         state *= scale  # a window left without a barrier
 
-    gamma2 = float(np.prod(probs)) if probs else 1.0
-    sv = StateVector(n_qubits=n, amplitudes=state)
-    report = SimReport(subnormalization=math.sqrt(gamma2),
-                       layer_probs=tuple(probs))
-    return sv, report
+    return (StateVector(n_qubits=n, amplitudes=state),
+            SimReport(layer_probs=tuple(probs)))
 
 
 _CHUNK = 1 << 15  # l2_error's buffer: 512 KB of complex differences
@@ -346,7 +349,7 @@ _LOW_BITS = 12  # probs() stores the column factors on these low bits
 def check_spec_capacity(core: int) -> None:
     """Refuse a spec run on ``core`` bits before it allocates: its peak is
     the core state, the float64 ideal (half a state) and ``l2_error``'s
-    chunk (traced: 2.89, 1.68 and 1.52 states at core 15, 18 and 21)."""
+    chunk (traced: 2.63, 1.65 and 1.52 states at core 15, 18 and 21)."""
     _check_capacity(core, copies=1.5 + min(_CHUNK, 1 << core) / (1 << core))
 
 
@@ -357,8 +360,7 @@ def l2_error(a, b) -> float:
     difference is taken elementwise: at 2**20+ dimensions the textbook
     sqrt(2 - 2|<a|b>|) form loses the answer to dot-product rounding.
     """
-    va = a.amplitudes if isinstance(a, StateVector) else np.asarray(a)
-    vb = b.amplitudes if isinstance(b, StateVector) else np.asarray(b)
+    va, vb = np.asarray(a), np.asarray(b)
     if va.shape != vb.shape:
         raise ParameterError(f"dimension mismatch: {va.shape} vs {vb.shape}")
     va, vb = va.reshape(-1), vb.reshape(-1)
@@ -372,14 +374,16 @@ def l2_error(a, b) -> float:
         ov = np.vdot(va, vb)
     phase = np.conj(ov / abs(ov)) if abs(ov) > 0 else 1.0 + 0.0j
     # the difference goes through one reused cache-sized buffer, not a
-    # fresh full-size temporary
+    # fresh full-size temporary; a real a is subtracted from the real
+    # parts alone, so numpy casts no chunk through its own buffer
     diff = np.empty(min(va.size, _CHUNK), dtype=complex)
     flat = diff.view(np.float64)
+    minuend = diff if np.iscomplexobj(va) else diff.real
     sq = 0.0
     for lo in range(0, va.size, _CHUNK):
         m = min(va.size - lo, _CHUNK)
         np.multiply(vb[lo:lo + m], phase, out=diff[:m])
-        diff[:m] -= va[lo:lo + m]
+        minuend[:m] -= va[lo:lo + m]
         sq += float(flat[:2 * m] @ flat[:2 * m])
     return math.sqrt(sq)
 

@@ -49,11 +49,6 @@ def dumps(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump(circuit: Circuit, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(circuit))
-
-
 def _parse_control(token: str, line_no: int) -> Control:
     m = _CONTROL_RE.match(token)
     if not m:

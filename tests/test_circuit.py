@@ -95,7 +95,8 @@ def test_layer_rejects_shared_ancilla():
 def test_layered_pair_union_is_exact():
     lay = layered_full_gaussian(8, 0.9)
     core = 7
-    seen = [p for layer in lay.layers for p in layer.control_pairs]
+    seen = [tuple(sorted(c.qubit for c in g.controls))
+            for layer in lay.layers for g in layer.gates]
     expected = {(j, k) for j in range(core) for k in range(j + 1, core)}
     assert len(seen) == len(expected)
     assert set(seen) == expected

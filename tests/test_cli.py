@@ -479,3 +479,11 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "generate" in proc.stdout
+
+
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import gausskit, sys; sys.exit('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausskit.builders import build_full_gaussian, layered_full_gaussian
-from gausskit.gates import (Control, Gate, GateKind, ParameterError,
-                            a_xh_distance)
+from gausskit.builders import (build_full_gaussian, layered_full_gaussian,
+                               merged_a_exponent)
+from gausskit.gates import (Control, Gate, GateKind, GaussianSpec,
+                            ParameterError, a_xh_distance)
 from gausskit.optimizer import (
     DivergentCostError,
     ErrorBudget,
@@ -16,9 +17,12 @@ from gausskit.optimizer import (
     order_layers,
     pack_layers,
     prune_circuit,
+    prune_distance,
     prune_layered,
+    prunes,
     qubit_threshold,
 )
+from gausskit.resources import estimate
 from gausskit.simulator import l2_error, simulate_postselected
 
 
@@ -231,3 +235,21 @@ def test_alpha_matching_gate_error_coupling():
     for delta in (1e-3, 1e-6, 1e-9):
         alpha = alpha_matching_gate_error(delta)
         assert a_xh_distance(alpha, 1.0) == pytest.approx(delta, rel=1e-6)
+
+
+def test_coupled_alpha_keeps_the_bottom_rotation():
+    # the k = 0 merged rotation A(1) sits at its budget, so the prune rule,
+    # a strict distance < delta, must keep it at every delta
+    gate = Gate(GateKind.A, 0, exponent=merged_a_exponent(0))
+    for delta in np.geomspace(1e-12, 0.29, 400).tolist():
+        alpha = alpha_matching_gate_error(delta)
+        assert not prunes(prune_distance(gate, alpha), delta), delta
+
+
+def test_coupled_alpha_estimate_prunes_nothing():
+    # the README's --couple-alpha grid
+    for delta in np.geomspace(1e-8, 1e-4, 9).tolist():
+        alpha = alpha_matching_gate_error(delta)
+        spec = GaussianSpec(n_qubits=qubit_threshold(alpha, delta),
+                            alpha=alpha, gate_error=delta)
+        assert estimate(spec).pruned_gates == 0, delta

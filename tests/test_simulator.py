@@ -465,7 +465,9 @@ def test_postselected_windows_match_exact_backend(full, n, draw, noisy):
 ])
 def test_core_pipeline_rejects_gate_outside_product_prelude(gate):
     lay = layered_full_gaussian(6, 0.9)
-    lay = dataclasses.replace(lay, prelude=lay.prelude.extended(gate))
+    prelude = dataclasses.replace(
+        lay.prelude, elements=lay.prelude.elements + (gate,))
+    lay = dataclasses.replace(lay, prelude=prelude)
     with pytest.raises(ParameterError):
         GaussianLayerModel(lay)
 
