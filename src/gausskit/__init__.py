@@ -30,11 +30,10 @@ from .optimizer import (
     qubit_threshold,
 )
 from .resources import (
-    CostModel,
     EstimateReport,
     estimate,
-    gate_t_cost,
     layered_t_depth,
+    rotation_t_cost,
 )
 from .simulator import (
     CapacityError,

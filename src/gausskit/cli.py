@@ -225,14 +225,7 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
             # noiseless run in packed order, with no budget, so no T-depth
             alpha = GaussianSpec(n_qubits=n_qubits, alpha=alpha,
                                  beta=beta).derived_alpha
-            simulator.check_spec_capacity(n_qubits - 1)
-            model = simulator.GaussianLayerModel(
-                builders.layered_full_gaussian(n_qubits, alpha))
-            rep = simulator.SimReport(
-                tuple(model.probs(range(model.n_layers)).tolist()))
-            eps = simulator.l2_error(
-                simulator.ideal_core_half_shifted(n_qubits - 1, alpha),
-                model.state())
+            rep, eps = resources.noiseless_run(n_qubits, alpha)
             et = math.nan
         else:
             spec = GaussianSpec(n_qubits=n_qubits, alpha=alpha, beta=beta,

@@ -4,13 +4,16 @@ packing, and measurement-order optimization.
 The error-allocation policy is the uniform 2:1 heuristic (uncontrolled
 rotations twice as accurate as controlled ones); the fully general
 constrained optimization is out of scope since its payoff is below one
-percent of T-depth.  ``ErrorBudget.delta_for`` gives each gate its
-accuracy; pruning, the noise draws and flat-circuit pricing all read it.
+percent of T-depth.  ``ErrorBudget`` alone reads the two budgets, by
+gate (``delta_for``) or by table row (``deltas``); pruning, the noise
+draws and pricing all follow it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .circuit import Circuit, Layer, LayeredCircuit, MeasureBarrier
 from .gates import (CLIFFORD_KINDS, Gate, GateKind, ParameterError,
@@ -45,6 +48,12 @@ class ErrorBudget:
         if gate.kind in CLIFFORD_KINDS:
             return 0.0
         return self.delta_controlled if gate.controls else self.delta_single
+
+    def deltas(self, rotation, controlled) -> np.ndarray:
+        """``delta_for`` of each row of a table, from its flags: whether it
+        is a rotation and whether it has controls."""
+        return np.where(rotation, np.where(controlled, self.delta_controlled,
+                                           self.delta_single), 0.0)
 
 
 class DivergentCostError(ValueError):

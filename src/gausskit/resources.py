@@ -1,6 +1,7 @@
 """Clifford+T cost model and whole-circuit expected T-depth.
 
-Rotation synthesis costs follow the standard single-qubit bound of
+One cost table prices every rotation by its number of controls.
+Rotation synthesis follows the standard single-qubit bound of
 1.15*log2(1/eps) + 9.2 T gates.  A controlled rotation splits into two
 rotations at eps/2 (2.3*log2(1/eps) + 20.7); a doubly-controlled rotation
 adds a Toffoli pair worth 4 T gates (2.3*log2(1/eps) + 24.7).  Costs stay
@@ -18,76 +19,50 @@ import numpy as np
 from . import simulator
 from .builders import layered_full_gaussian
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
-from .gates import (CLIFFORD_KINDS, ROTATION_KINDS, Gate, GaussianSpec,
-                    ParameterError)
+from .gates import CLIFFORD_KINDS, Gate, GaussianSpec, ParameterError
 from .optimizer import (ErrorBudget, expected_t_depth, order_layers,
                         prune_layered)
 
 
-class CostModel:
-    """T-count of a rotation synthesized to accuracy epsilon, by control count."""
-
-    @staticmethod
-    def single_rotation(epsilon: float) -> float:
-        _check_epsilon(epsilon)
-        return 1.15 * math.log2(1.0 / epsilon) + 9.2
-
-    @staticmethod
-    def controlled_rotation(epsilon: float) -> float:
-        _check_epsilon(epsilon)
-        return 2.3 * math.log2(1.0 / epsilon) + 20.7
-
-    @staticmethod
-    def doubly_controlled(epsilon: float) -> float:
-        _check_epsilon(epsilon)
-        return 2.3 * math.log2(1.0 / epsilon) + 24.7
+# (slope, offset) of a rotation's T-count by its number of controls
+_T_COST = ((1.15, 9.2), (2.3, 20.7), (2.3, 24.7))
 
 
-def _check_epsilon(epsilon: float) -> None:
+def rotation_t_cost(epsilon: float, n_controls: int) -> float:
+    """T-count of a rotation with ``n_controls`` controls synthesized to
+    accuracy ``epsilon``; a doubly-controlled rotation's depth is priced at
+    this full count, the Toffoli pair included."""
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"synthesis accuracy must lie in (0, 1), got {epsilon}")
-
-
-def gate_t_cost(gate: Gate, epsilon: float) -> tuple[float, float]:
-    """(T-count, T-depth) of one gate synthesized to accuracy epsilon.
-
-    Cliffords are free.  A doubly-controlled rotation's depth is priced at
-    its full T-count: the resource pipeline charges each measurement round
-    2.3*log2(1/eps) + 24.7, the Toffoli pair included.
-    """
-    if gate.kind in CLIFFORD_KINDS:
-        return (0.0, 0.0)
-    n_ctl = len(gate.controls)
-    if n_ctl == 0:
-        cost = CostModel.single_rotation(epsilon)
-    elif n_ctl == 1:
-        cost = CostModel.controlled_rotation(epsilon)
-    elif n_ctl == 2:
-        cost = CostModel.doubly_controlled(epsilon)
-    else:
+    if n_controls >= len(_T_COST):
         raise ParameterError(
             "no cost model for rotations with more than two controls")
-    return (cost, cost)
+    slope, offset = _T_COST[n_controls]
+    return slope * math.log2(1.0 / epsilon) + offset
 
 
-def _has_rotation(circuit: Circuit) -> bool:
-    return any(g.kind in ROTATION_KINDS for g in circuit.gates())
+def _gate_t_depth(gate: Gate, budget: ErrorBudget) -> float:
+    """T-depth of one gate at its budget: Cliffords are free."""
+    if gate.kind in CLIFFORD_KINDS:
+        return 0.0
+    return rotation_t_cost(budget.delta_for(gate), len(gate.controls))
 
 
 def layered_t_depth(layered: LayeredCircuit, budget: ErrorBudget
                     ) -> tuple[float, list[float]]:
     """(prelude depth n0, per-layer depths n_k).
 
-    The prelude's uncontrolled rotations run in parallel: one
-    single-rotation depth (zero if pruning replaced them all with
-    Cliffords).  Each layer's gates occupy disjoint qubits, so the layer
-    costs one doubly-controlled depth at the controlled budget.
+    The prelude's uncontrolled rotations run in parallel, and each layer's
+    gates occupy disjoint qubits, so each is one stage, which costs its
+    most expensive gate: one single-rotation depth for the prelude (zero if
+    pruning replaced every rotation with Cliffords), one doubly-controlled
+    depth per layer.
     """
-    n0 = (CostModel.single_rotation(budget.delta_single)
-          if _has_rotation(layered.prelude) else 0.0)
-    nks = [CostModel.doubly_controlled(budget.delta_controlled)
-           for _ in layered.layers]
-    return n0, nks
+    def stage(gates) -> float:
+        return max((_gate_t_depth(g, budget) for g in gates), default=0.0)
+
+    return (stage(layered.prelude.gates()),
+            [stage(layer.gates) for layer in layered.layers])
 
 
 def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:
@@ -110,7 +85,7 @@ def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:
             continue
         if elem.kind in CLIFFORD_KINDS:
             continue
-        _, depth = gate_t_cost(elem, budget.delta_for(elem))
+        depth = _gate_t_depth(elem, budget)
         if stage_qubits & set(elem.qubits):
             flush()
         stage_cost = max(stage_cost, depth)
@@ -181,11 +156,8 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     """
     if order not in ("optimal", "identity", "random"):
         raise ParameterError(f"unknown ordering scheme {order!r}")
-    simulator.check_spec_capacity(spec.n_qubits - 1)
     alpha = spec.derived_alpha
-    full = layered_full_gaussian(spec.n_qubits, alpha)
-    table = simulator.CoreTable(full)
-    ideal = simulator.ideal_core_half_shifted(spec.n_qubits - 1, alpha)
+    full, table, ideal = _read_spec(spec.n_qubits, alpha)
     if target_error is None:
         run = _packed_run(table, spec.gate_error, seed, alloc, ideal)
     else:
@@ -216,6 +188,27 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
         pruned_gates=pruned.total,
         seed=seed,
     )
+
+
+def noiseless_run(n_qubits: int, alpha: float
+                  ) -> tuple[simulator.SimReport, float]:
+    """The layer probabilities in packed order and the error of a noiseless
+    spec run: ``estimate``'s probe at the zero budget, which prunes
+    nothing, as every prune distance is at least 0, and draws no noise."""
+    _, table, ideal = _read_spec(n_qubits, alpha)
+    run = _packed_run(table, 0.0, 0, "uniform", ideal)
+    probs = run.model.probs(range(run.model.n_layers))
+    return simulator.SimReport(tuple(probs.tolist())), run.eps
+
+
+def _read_spec(n_qubits: int, alpha: float
+               ) -> tuple[LayeredCircuit, simulator.CoreTable, np.ndarray]:
+    """A spec run's unpruned layered circuit, its ``CoreTable`` and the
+    ideal core state, once the run's capacity is checked."""
+    simulator.check_spec_capacity(n_qubits - 1)
+    full = layered_full_gaussian(n_qubits, alpha)
+    return (full, simulator.CoreTable(full),
+            simulator.ideal_core_half_shifted(n_qubits - 1, alpha))
 
 
 def _budget(delta: float, alloc: str) -> ErrorBudget:

@@ -16,10 +16,10 @@ Three engines, one per register; the two flat ones serve circuit files:
   a column of pair factors.  ``probs(order)`` refills the real weights
   |amplitude|**2 of the low bits the same way as each layer joins, from
   columns stored on 12 bits and scalars above, and folds the top bit out
-  in place.  ``estimate`` reads the circuit once into a ``CoreTable`` of
-  arrays, and each gate budget it tries is a probe: ``CoreTable.kept``
-  prunes rows, ``draw_noise`` draws the kept rotations' noise as one
-  array and ``GaussianLayerModel.from_table`` fills the model.
+  in place.  ``estimate`` reads the circuit once into a ``CoreTable``, one
+  row per gate, and each gate budget it tries is a probe: ``kept`` prunes
+  with one comparison over all rows, ``draw_noise`` draws the kept
+  rotations' noise as one array and ``from_table`` fills the model.
 
 The flat engines touch a state only through ``_block``, the strided view
 that fixes some bits and leaves the rest free: a gate applies its 2x2
@@ -74,10 +74,17 @@ def _check_capacity(n_bits: int, copies: float = 2.0) -> None:
             f"{n_bits} qubits exceeds the {MAX_QUBITS}-qubit simulator budget")
     limit_mb = os.environ.get("GAUSSKIT_MEM_LIMIT_MB")
     if limit_mb:
+        try:
+            limit = float(limit_mb)
+        except ValueError:
+            limit = math.nan
+        if not 0.0 < limit < math.inf:
+            raise ParameterError(f"GAUSSKIT_MEM_LIMIT_MB={limit_mb!r} is not "
+                                 "a finite positive number of MB")
         need = ((1 << n_bits) * 16 * copies + _FIXED_BYTES) / 1e6
-        if need > float(limit_mb):
+        if need > limit:
             raise CapacityError(
-                f"state of {need:.0f} MB exceeds GAUSSKIT_MEM_LIMIT_MB={limit_mb}")
+                f"state of {need:.4g} MB exceeds GAUSSKIT_MEM_LIMIT_MB={limit_mb}")
 
 
 @dataclass
@@ -496,16 +503,17 @@ def _gate_noise(gates, noise: NoiseRealization | None) -> np.ndarray:
 class CoreTable:
     """The core register of a layered Gaussian as arrays, read once.
 
-    Each prelude gate on a core qubit is a row: its target, its rank among
-    the gates on that target, its kernel, whether it is a rotation, and
-    its ``optimizer.prune_distance``.  Each window is a row, in layer and
-    slot order: its pair j < k, its layer, the column (K00, K10) of its
-    kernel and its prune distance.  Reading makes the checks the model
-    rests on: prelude gates are uncontrolled on data qubits, and each
-    window has two closed controls on core qubits.
+    The rows are the prelude gates on core qubits, then the windows in
+    layer and slot order.  Every row has its ``optimizer.prune_distance``
+    and two flags, whether it is a rotation and whether it has controls,
+    which set its budget.  A prelude row also has its target, its rank
+    among the gates on that target and its kernel; a window has its pair
+    j < k, its layer and the column (K00, K10) of its kernel.  Reading
+    makes the checks the model rests on: prelude gates are uncontrolled on
+    data qubits, and each window has two closed controls on core qubits.
 
     A gate budget is then a probe of array operations: ``kept`` prunes
-    with one comparison per row kind, ``draw_noise`` draws the kept
+    with one comparison over all rows, ``draw_noise`` draws the kept
     rotations' perturbations as one array, and
     ``GaussianLayerModel.from_table`` fills the model; no probe builds a
     ``Gate``, a circuit or a noise dict.
@@ -514,61 +522,57 @@ class CoreTable:
     def __init__(self, layered: LayeredCircuit):
         self.core = core = layered.data_qubits - 1
         alpha = layered.alpha
-        self.prelude: list[Gate] = []
+        prelude: list[Gate] = []
         for gate in layered.prelude.gates():
             if gate.controls or gate.target > core:
                 raise ParameterError(
                     "prelude gates must be uncontrolled and act on data qubits")
             if gate.target < core:  # the top-qubit Hadamard is not core
-                self.prelude.append(gate)
-        self.windows = [g for layer in layered.layers for g in layer.gates]
+                prelude.append(gate)
+        windows = [g for layer in layered.layers for g in layer.gates]
+        self.n_prelude = len(prelude)
+        self.gates = prelude + windows
         self.window_layer = np.array(
             [i for i, layer in enumerate(layered.layers) for _ in layer.gates],
             dtype=np.intp)
-        self.pairs = np.array([_window_pair(g, core) for g in self.windows],
+        self.pairs = np.array([_window_pair(g, core) for g in windows],
                               dtype=np.intp).reshape(-1, 2)
-        self.targets = np.array([g.target for g in self.prelude], dtype=np.intp)
+        self.targets = np.array([g.target for g in prelude], dtype=np.intp)
         ranks, count = [], {}  # rank: the gates on the target before it
         for target in self.targets.tolist():
             ranks.append(count.get(target, 0))
             count[target] = ranks[-1] + 1
         self.ranks = np.array(ranks, dtype=np.intp)
         self.kernels = np.array(
-            [rotation_kernel(g.kind, g.exponent, alpha) for g in self.prelude]
+            [rotation_kernel(g.kind, g.exponent, alpha) for g in prelude]
         ).reshape(-1, 2, 2)
-        self.rotation = np.array([g.kind in ROTATION_KINDS
-                                  for g in self.prelude], dtype=bool)
         self.columns = np.array(
             [rotation_kernel(g.kind, g.exponent, alpha)[:, 0]
-             for g in self.windows]).reshape(-1, 2)
-        self.prelude_distance = np.array(
-            [prune_distance(g, alpha) for g in self.prelude])
-        self.window_distance = np.array(
-            [prune_distance(g, alpha) for g in self.windows])
+             for g in windows]).reshape(-1, 2)
+        self.distance = np.array([prune_distance(g, alpha)
+                                  for g in self.gates])
+        self.rotation, self.controlled = np.array(
+            [(g.kind in ROTATION_KINDS, bool(g.controls)) for g in self.gates],
+            dtype=bool).reshape(-1, 2).T
 
-    def kept(self, budget: ErrorBudget) -> tuple[np.ndarray, np.ndarray]:
-        """The prelude rows pruning at ``budget`` keeps (the rest become
-        exact XH) and the windows it keeps (the rest are dropped)."""
-        return (~prunes(self.prelude_distance, budget.delta_single),
-                ~prunes(self.window_distance, budget.delta_controlled))
+    def kept(self, budget: ErrorBudget) -> np.ndarray:
+        """The rows pruning at ``budget`` keeps: a prelude row it does not
+        keep becomes exact XH, a window it does not keep is dropped."""
+        return ~prunes(self.distance,
+                       budget.deltas(self.rotation, self.controlled))
 
-    def draw_noise(self, budget: ErrorBudget, kept, rng: np.random.Generator
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """The perturbations of the prelude rows and of the windows: one
-        ``rng.normal(size=(G, 3))`` draw for the G kept rotations, in the
-        pruned circuit's gate order (prelude, then windows by layer and
-        slot), as ``realize_noise`` draws them; the identity elsewhere."""
-        pre = np.flatnonzero(kept[0] & self.rotation
-                             & (budget.delta_single > 0.0))
-        win = np.flatnonzero(kept[1] & (budget.delta_controlled > 0.0))
-        deltas = np.repeat([budget.delta_single, budget.delta_controlled],
-                           [len(pre), len(win)])
-        mats = _perturbations(rng.normal(size=(len(deltas), 3)), deltas)
-        pre_noise = _identities(len(self.prelude))
-        win_noise = _identities(len(self.windows))
-        pre_noise[pre] = mats[:len(pre)]
-        win_noise[win] = mats[len(pre):]
-        return pre_noise, win_noise
+    def draw_noise(self, budget: ErrorBudget, kept: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+        """The (rows, 2, 2) perturbations: one ``rng.normal(size=(G, 3))``
+        draw for the G kept rotations, in the pruned circuit's gate order
+        (prelude, then windows by layer and slot), as ``realize_noise``
+        draws them; the identity elsewhere."""
+        deltas = budget.deltas(self.rotation, self.controlled)
+        rows = np.flatnonzero(kept & (deltas > 0.0))
+        noise = _identities(len(self.gates))
+        noise[rows] = _perturbations(rng.normal(size=(len(rows), 3)),
+                                     deltas[rows])
+        return noise
 
 
 class GaussianLayerModel:
@@ -600,24 +604,22 @@ class GaussianLayerModel:
     def __init__(self, layered: LayeredCircuit,
                  noise: NoiseRealization | None = None):
         table = CoreTable(layered)
-        self._fill(table,
-                   (np.ones(len(table.prelude), dtype=bool),
-                    np.ones(len(table.windows), dtype=bool)),
-                   (_gate_noise(table.prelude, noise),
-                    _gate_noise(table.windows, noise)))
+        self._fill(table, np.ones(len(table.gates), dtype=bool),
+                   _gate_noise(table.gates, noise))
 
     @classmethod
     def from_table(cls, table: CoreTable, kept, noise) -> "GaussianLayerModel":
-        """The model of ``table`` with the rows ``kept`` (a pair of masks
-        from ``CoreTable.kept``) under the perturbations ``noise``."""
+        """The model of ``table`` with the rows ``kept`` (the mask from
+        ``CoreTable.kept``) under the perturbations ``noise``."""
         model = cls.__new__(cls)
         model._fill(table, kept, noise)
         return model
 
     def _fill(self, table: CoreTable, kept, noise) -> None:
         self.core = core = table.core
-        mats = noise[0] @ np.where(kept[0][:, None, None], table.kernels,
-                                   XH_MATRIX)
+        p = table.n_prelude
+        mats = noise[:p] @ np.where(kept[:p, None, None], table.kernels,
+                                    XH_MATRIX)
         # a_q: the prelude gates of qubit q, rank by rank, on |0>
         self.qubits = np.zeros((core, 2), dtype=complex)
         self.qubits[:, 0] = 1.0
@@ -626,10 +628,10 @@ class GaussianLayerModel:
             targets = table.targets[rows]
             self.qubits[targets] = np.einsum("gij,gj->gi", mats[rows],
                                              self.qubits[targets])
-        rows = np.flatnonzero(kept[1])
-        p, column = noise[1][rows], table.columns[rows]
-        f_rest = p[:, 0, 0]
-        ratio = (f_rest * column[:, 0] + p[:, 0, 1] * column[:, 1]) / f_rest
+        rows = np.flatnonzero(kept[p:])
+        pert, column = noise[p:][rows], table.columns[rows]
+        f_rest = pert[:, 0, 0]
+        ratio = (f_rest * column[:, 0] + pert[:, 0, 1] * column[:, 1]) / f_rest
         j, k = table.pairs[rows].T
         self.ratios = np.ones((core, core), dtype=complex)  # R[j, k], j < k
         np.multiply.at(self.ratios, (j, k), ratio)
@@ -681,10 +683,12 @@ class GaussianLayerModel:
         BLAS call sees more than 2**b elements: above about 2**14, a
         level-1 call can wait milliseconds for a helper thread to wake.
         """
-        # tracemalloc peak: 0.59, 0.32 and 0.26 states at core 15, 18 and
-        # 21, the 0.25 of the low weights plus the stored columns
-        _check_capacity(self.core, copies=1.0)
         top, b = self.core - 1, _LOW_BITS
+        # the low weights (a quarter state), stored columns and ``out``: at
+        # or above the tracemalloc peak at core 8, 15, 18 and 21
+        stored_size = sum(1 << min(k, b) for k in range(self.core))
+        _check_capacity(self.core, copies=(
+            0.25 + (stored_size + len(order)) / (2 << self.core)))
         ratios = (np.abs(self.qubits[:, 1] / self.qubits[:, 0]) ** 2).tolist()
         stored = [np.full(1 << min(k, b), c) for k, c in enumerate(ratios)]
         scalars = [[1.0] * (k - b) for k in range(self.core)]  # R2[b:k, k]

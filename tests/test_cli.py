@@ -349,6 +349,21 @@ def test_simulate_capacity_exit_4(runner, tmp_path, monkeypatch):
     assert result.exit_code == 4
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "-5", "0"])
+def test_malformed_memory_limit_exits_2(runner, layered_file, monkeypatch,
+                                        value):
+    # a cap that is not a finite positive number of MB is never ignored:
+    # every branch that checks capacity exits 2 and names the variable
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", value)
+    spec = ["--n", "6", "--alpha", "0.9"]
+    for args in (["simulate", *spec], ["simulate", *spec, "--delta", "1e-6"],
+                 ["simulate", layered_file],
+                 ["sweep", *spec, "--delta", "1e-6"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert f"GAUSSKIT_MEM_LIMIT_MB={value!r}" in result.output
+
+
 @pytest.mark.parametrize("n, option, value", [
     (6, "alpha", 0.9), (12, "alpha", 0.999999), (16, "alpha", 0.99999),
     (10, "beta", 0.01)], ids=["n6", "n12", "n16", "beta"])

@@ -10,61 +10,64 @@ from hypothesis import strategies as st
 
 from gausskit import resources, simulator
 from gausskit.builders import build_poly_phase, layered_full_gaussian
-from gausskit.circuit import LayeredCircuit
+from gausskit.circuit import Circuit, LayeredCircuit
 from gausskit.gates import (Control, Gate, GateKind, GaussianSpec,
                             ParameterError, rotation_kernel)
 from gausskit.optimizer import (ErrorBudget, expected_t_depth, prune_layered,
                                 qubit_threshold)
 from gausskit.resources import (
-    CostModel,
     circuit_t_depth,
     estimate,
-    gate_t_cost,
     layered_t_depth,
+    rotation_t_cost,
 )
 
 
 def test_single_rotation_formula():
-    model = CostModel()
-    assert model.single_rotation(1e-3) == pytest.approx(
+    assert rotation_t_cost(1e-3, 0) == pytest.approx(
         1.15 * math.log2(1000) + 9.2, rel=1e-12)
-    assert model.single_rotation(1e-3) == pytest.approx(20.66, abs=0.01)
+    assert rotation_t_cost(1e-3, 0) == pytest.approx(20.66, abs=0.01)
 
 
 def test_controlled_formulas_and_toffoli_gap():
-    model = CostModel()
     for eps in (1e-2, 1e-5, 1e-9):
-        assert (model.doubly_controlled(eps) - model.controlled_rotation(eps)
+        assert (rotation_t_cost(eps, 2) - rotation_t_cost(eps, 1)
                 == pytest.approx(4.0, abs=1e-12))
-        assert model.controlled_rotation(eps) == pytest.approx(
+        assert rotation_t_cost(eps, 1) == pytest.approx(
             2 * (1.15 * math.log2(2 / eps) + 9.2), rel=1e-12)
 
 
 def test_doubly_controlled_at_double_budget():
     # synthesized to accuracy 2*delta: 2.3*log2(1/delta) + 22.4
-    model = CostModel()
     delta = 1e-4
-    assert model.doubly_controlled(2 * delta) == pytest.approx(
+    assert rotation_t_cost(2 * delta, 2) == pytest.approx(
         2.3 * math.log2(1 / delta) + 22.4, rel=1e-12)
 
 
-def test_gate_t_cost_classes():
-    model = CostModel()
-    cnot = Gate(GateKind.CNOT, 0, controls=(Control(1),))
-    assert gate_t_cost(cnot, 1e-3) == (0.0, 0.0)
-    h = Gate(GateKind.H, 0)
-    assert gate_t_cost(h, 1e-3) == (0.0, 0.0)
-    z = Gate(GateKind.Z, 0, exponent=2.0)
-    count, depth = gate_t_cost(z, 1e-3)
-    assert count == depth == pytest.approx(model.single_rotation(1e-3))
+def test_gates_priced_by_class_and_domain():
+    # circuit_t_depth prices each gate by its class at its budget:
+    # Cliffords are free, an uncontrolled Z costs one single rotation and
+    # a doubly-controlled B at 2*delta 2.3*log2(1/delta) + 22.4
+    budget = ErrorBudget.two_to_one(1e-4)
+
+    def depth(*elements):
+        return circuit_t_depth(Circuit(data_qubits=4, ancilla_qubits=0,
+                                       alpha=0.9, elements=elements), budget)
+
+    assert depth(Gate(GateKind.CNOT, 0, controls=(Control(1),)),
+                 Gate(GateKind.H, 0)) == 0.0
+    assert depth(Gate(GateKind.Z, 0, exponent=2.0)) == rotation_t_cost(1e-4, 0)
     b2 = Gate(GateKind.B, 2, exponent=1.0, controls=(Control(0), Control(1)))
-    count, depth = gate_t_cost(b2, 2e-4)
-    assert count == depth == pytest.approx(2.3 * math.log2(1e4) + 22.4, rel=1e-12)
-
-
-def test_gate_t_cost_domain():
+    assert depth(b2) == pytest.approx(2.3 * math.log2(1e4) + 22.4, rel=1e-12)
+    # an accuracy outside (0, 1) or a third control has no cost
+    for eps in (0.0, 1.0, 1.5):
+        with pytest.raises(ParameterError):
+            rotation_t_cost(eps, 0)
     with pytest.raises(ParameterError):
-        gate_t_cost(Gate(GateKind.A, 0, exponent=1.0), 1.0)
+        rotation_t_cost(1e-3, 3)
+    with pytest.raises(ParameterError):
+        depth(Gate(GateKind.Z, 3, exponent=1.0,
+                   controls=(Control(0), Control(1), Control(2))))
 
 
 def test_layered_t_depth_values():
@@ -91,7 +94,7 @@ def test_circuit_t_depth_z_only_stages():
     circ = build_poly_phase(4, 0.3, 1)
     budget = ErrorBudget.uniform(1e-3)
     depth = circuit_t_depth(circ, budget)
-    assert depth == pytest.approx(CostModel().single_rotation(1e-3), rel=1e-12)
+    assert depth == pytest.approx(rotation_t_cost(1e-3, 0), rel=1e-12)
 
 
 def test_circuit_t_depth_clifford_postlude_free():
@@ -177,6 +180,19 @@ def test_estimate_capacity_covers_state_ideal_and_chunk(monkeypatch, n):
     assert _traced_peak(refused) < (1 << core) * 16 / 4
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need * 1.01 / 1e6))
     assert _traced_peak(lambda: estimate(spec)) <= need
+
+
+@pytest.mark.parametrize("n", [4, 9, 14])
+def test_noiseless_run_is_the_zero_budget_probe(n):
+    # the zero budget prunes nothing and draws no noise: the probe gives
+    # the probabilities and error of the model read from the whole circuit
+    alpha = 1 - 1e-6
+    rep, eps = resources.noiseless_run(n, alpha)
+    model = simulator.GaussianLayerModel(layered_full_gaussian(n, alpha))
+    assert rep.layer_probs == tuple(
+        model.probs(range(model.n_layers)).tolist())
+    assert eps == simulator.l2_error(
+        simulator.ideal_core_half_shifted(n - 1, alpha), model.state())
 
 
 def test_estimate_target_error_search():

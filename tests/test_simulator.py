@@ -559,7 +559,7 @@ def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
         table.draw_noise(budget, kept, np.random.default_rng(noise_seed)))
 
     lay, info = prune_layered(full, budget)
-    assert int((~kept[0]).sum() + (~kept[1]).sum()) == info.total
+    assert int((~kept).sum()) == info.total
     assert model.n_layers == len(lay.layers)
     assert {"none": info.total == 0,
             "some": 0 < info.removed_b_gates,
@@ -591,17 +591,29 @@ def test_core_pipeline_capacity_boundary(monkeypatch):
 
 
 def test_layer_model_capacity_boundary(monkeypatch):
-    # predicted need of probs(): one complex 2**core state, the tracemalloc
-    # peak measured at core 15 (0.78 at core 18)
-    lay = layered_full_gaussian(9, 0.95)
-    model = GaussianLayerModel(lay)
-    order = range(len(lay.layers))
-    need_mb = ((1 << 8) * 16 * 1.0 + FIXED_BYTES) / 1e6
-    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
-    model.probs(order)
-    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
-    with pytest.raises(CapacityError):
-        model.probs(order)
+    # predicted need of probs(): the low weights (2**(core - 1) floats),
+    # the column factors stored on up to 12 low bits (2**min(k, 12) floats
+    # for bit k), ``out`` (one float per layer) and numpy's fixed buffers;
+    # the call it admits stays under it
+    for n in (9, 16):
+        core = n - 1
+        lay = layered_full_gaussian(n, 0.99999)
+        model = GaussianLayerModel(lay)
+        order = range(len(lay.layers))
+        floats = ((1 << core - 1) + sum(1 << min(k, 12) for k in range(core))
+                  + len(order))
+        need_mb = (floats * 8 + FIXED_BYTES) / 1e6
+        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+        tracemalloc.start()
+        try:
+            model.probs(order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need_mb * 1e6
+        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+        with pytest.raises(CapacityError):
+            model.probs(order)
 
 
 def test_layer_model_matches_sequential_probs():
