@@ -44,21 +44,26 @@ def test_doubly_controlled_at_double_budget():
         2.3 * math.log2(1 / delta) + 22.4, rel=1e-12)
 
 
-def test_gates_priced_by_class_and_domain():
+def _t_depth_of(*elements):
+    return circuit_t_depth(Circuit(data_qubits=4, ancilla_qubits=0,
+                                   alpha=0.9, elements=elements),
+                           ErrorBudget.two_to_one(1e-4))
+
+
+def test_gate_t_cost_classes():
     # circuit_t_depth prices each gate by its class at its budget:
     # Cliffords are free, an uncontrolled Z costs one single rotation and
     # a doubly-controlled B at 2*delta 2.3*log2(1/delta) + 22.4
-    budget = ErrorBudget.two_to_one(1e-4)
-
-    def depth(*elements):
-        return circuit_t_depth(Circuit(data_qubits=4, ancilla_qubits=0,
-                                       alpha=0.9, elements=elements), budget)
-
-    assert depth(Gate(GateKind.CNOT, 0, controls=(Control(1),)),
-                 Gate(GateKind.H, 0)) == 0.0
-    assert depth(Gate(GateKind.Z, 0, exponent=2.0)) == rotation_t_cost(1e-4, 0)
+    assert _t_depth_of(Gate(GateKind.CNOT, 0, controls=(Control(1),)),
+                       Gate(GateKind.H, 0)) == 0.0
+    assert (_t_depth_of(Gate(GateKind.Z, 0, exponent=2.0))
+            == rotation_t_cost(1e-4, 0))
     b2 = Gate(GateKind.B, 2, exponent=1.0, controls=(Control(0), Control(1)))
-    assert depth(b2) == pytest.approx(2.3 * math.log2(1e4) + 22.4, rel=1e-12)
+    assert _t_depth_of(b2) == pytest.approx(2.3 * math.log2(1e4) + 22.4,
+                                            rel=1e-12)
+
+
+def test_gate_t_cost_domain():
     # an accuracy outside (0, 1) or a third control has no cost
     for eps in (0.0, 1.0, 1.5):
         with pytest.raises(ParameterError):
@@ -66,8 +71,8 @@ def test_gates_priced_by_class_and_domain():
     with pytest.raises(ParameterError):
         rotation_t_cost(1e-3, 3)
     with pytest.raises(ParameterError):
-        depth(Gate(GateKind.Z, 3, exponent=1.0,
-                   controls=(Control(0), Control(1), Control(2))))
+        _t_depth_of(Gate(GateKind.Z, 3, exponent=1.0,
+                         controls=(Control(0), Control(1), Control(2))))
 
 
 def test_layered_t_depth_values():
