@@ -33,8 +33,9 @@ Element = Gate | MeasureBarrier
 class Circuit:
     """Gates and barriers over one register, all sharing the base ``alpha``.
 
-    Construction rejects an alpha outside (0, 1), the range the textual
-    format accepts, so no builder can emit a circuit ``textio`` refuses.
+    Construction rejects a negative register size and an alpha outside
+    (0, 1), as the textual format does, so no builder can emit a circuit
+    ``textio`` refuses.
     """
 
     data_qubits: int
@@ -43,6 +44,10 @@ class Circuit:
     elements: tuple[Element, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.data_qubits < 0 or self.ancilla_qubits < 0:
+            raise ParameterError("register sizes must be non-negative, got "
+                                 f"data={self.data_qubits} "
+                                 f"ancilla={self.ancilla_qubits}")
         _check_alpha(self.alpha)
 
     @property

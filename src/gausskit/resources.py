@@ -133,7 +133,8 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     into a ``simulator.CoreTable``.  Every gate budget then runs one probe of
     array operations: prune the table's rows against the budget, draw
     noise from ``seed`` in gate order of the pruned circuit, fill the
-    core-register model and take the error from its state.  The windows
+    core-register model ``simulator.GaussianLayerModel(table, kept, noise)``
+    and take the error from its state.  The windows
     commute, so that state, and the error, are the same in every layer
     order.  The accepted budget's pruned circuit prices the run, and the
     real weights give the probabilities in packed order, which pick the
@@ -227,7 +228,7 @@ def _packed_run(table: simulator.CoreTable, delta: float, seed: int,
     budget = _budget(delta, alloc)
     kept = table.kept(budget)
     noise = table.draw_noise(budget, kept, np.random.default_rng(seed))
-    model = simulator.GaussianLayerModel.from_table(table, kept, noise)
+    model = simulator.GaussianLayerModel(table, kept, noise)
     eps = simulator.l2_error(ideal, model.state())
     return _PackedRun(budget, model, eps)
 

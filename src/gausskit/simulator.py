@@ -19,7 +19,8 @@ Three engines, one per register; the two flat ones serve circuit files:
   in place.  ``estimate`` reads the circuit once into a ``CoreTable``, one
   row per gate, and each gate budget it tries is a probe: ``kept`` prunes
   with one comparison over all rows, ``draw_noise`` draws the kept
-  rotations' noise as one array and ``from_table`` fills the model.
+  rotations' noise as one array and ``GaussianLayerModel`` fills the
+  model.
 
 The flat engines touch a state only through ``_block``, the strided view
 that fixes some bits and leaves the rest free: a gate applies its 2x2
@@ -490,59 +491,43 @@ def _identities(count: int) -> np.ndarray:
     return np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2)).copy()
 
 
-def _gate_noise(gates, noise: NoiseRealization | None) -> np.ndarray:
-    """The (len(gates), 2, 2) perturbations of ``gates`` under ``noise``,
-    the identity for a gate it leaves exact."""
-    out = _identities(len(gates))
-    for i, gate in enumerate(gates):
-        if noise and gate in noise:
-            out[i] = noise[gate]
-    return out
-
-
 class CoreTable:
     """The core register of a layered Gaussian as arrays, read once.
 
-    The rows are the prelude gates on core qubits, then the windows in
-    layer and slot order.  Every row has its ``optimizer.prune_distance``
-    and two flags, whether it is a rotation and whether it has controls,
-    which set its budget.  A prelude row also has its target, its rank
-    among the gates on that target and its kernel; a window has its pair
-    j < k, its layer and the column (K00, K10) of its kernel.  Reading
-    makes the checks the model rests on: prelude gates are uncontrolled on
-    data qubits, and each window has two closed controls on core qubits.
+    The rows are the prelude's one gate per core qubit, in qubit order,
+    then the windows in layer and slot order.  Every row has its
+    ``optimizer.prune_distance`` and two flags, whether it is a rotation
+    and whether it has controls, which set its budget.  A prelude row also
+    has its kernel; a window has its pair j < k, its layer and the column
+    (K00, K10) of its kernel.  Reading makes the checks the model rests
+    on: the prelude is the unpruned product prelude, the top-qubit H and
+    then one uncontrolled gate on each core qubit in qubit order, and each
+    window has two closed controls on core qubits.
 
     A gate budget is then a probe of array operations: ``kept`` prunes
     with one comparison over all rows, ``draw_noise`` draws the kept
-    rotations' perturbations as one array, and
-    ``GaussianLayerModel.from_table`` fills the model; no probe builds a
-    ``Gate``, a circuit or a noise dict.
+    rotations' perturbations as one array, and ``GaussianLayerModel``
+    fills the model; no probe builds a ``Gate``, a circuit or a noise dict.
     """
 
     def __init__(self, layered: LayeredCircuit):
         self.core = core = layered.data_qubits - 1
         alpha = layered.alpha
-        prelude: list[Gate] = []
-        for gate in layered.prelude.gates():
-            if gate.controls or gate.target > core:
-                raise ParameterError(
-                    "prelude gates must be uncontrolled and act on data qubits")
-            if gate.target < core:  # the top-qubit Hadamard is not core
-                prelude.append(gate)
+        prelude = layered.prelude.elements
+        if ([getattr(g, "target", None) for g in prelude] != [core, *range(core)]
+                or prelude[0].kind is not GateKind.H
+                or any(g.controls for g in prelude)):
+            raise ParameterError(
+                "the prelude must be the top-qubit H and one uncontrolled "
+                "gate per core qubit, in qubit order")
+        prelude = prelude[1:]
         windows = [g for layer in layered.layers for g in layer.gates]
-        self.n_prelude = len(prelude)
-        self.gates = prelude + windows
+        self.gates = prelude + tuple(windows)
         self.window_layer = np.array(
             [i for i, layer in enumerate(layered.layers) for _ in layer.gates],
             dtype=np.intp)
         self.pairs = np.array([_window_pair(g, core) for g in windows],
                               dtype=np.intp).reshape(-1, 2)
-        self.targets = np.array([g.target for g in prelude], dtype=np.intp)
-        ranks, count = [], {}  # rank: the gates on the target before it
-        for target in self.targets.tolist():
-            ranks.append(count.get(target, 0))
-            count[target] = ranks[-1] + 1
-        self.ranks = np.array(ranks, dtype=np.intp)
         self.kernels = np.array(
             [rotation_kernel(g.kind, g.exponent, alpha) for g in prelude]
         ).reshape(-1, 2, 2)
@@ -595,41 +580,20 @@ class GaussianLayerModel:
     probabilities are not.  The symmetrizing postlude is an isometry, so
     both equal their full-register values.
 
-    ``GaussianLayerModel(layered, noise)`` reads the circuit into a
-    ``CoreTable`` and keeps every row; ``from_table`` fills the model of
-    a pruned probe from the rows it keeps.  A layer left with no window
-    has no barrier and no probability, as in the flat engines.
+    ``GaussianLayerModel(table, kept, noise)`` is a probe's model: the
+    rows of ``table`` that ``kept`` (the mask from ``CoreTable.kept``)
+    keeps, under the perturbations ``noise`` (from
+    ``CoreTable.draw_noise``).  A layer left with no window has no barrier
+    and no probability, as in the flat engines.
     """
 
-    def __init__(self, layered: LayeredCircuit,
-                 noise: NoiseRealization | None = None):
-        table = CoreTable(layered)
-        self._fill(table, np.ones(len(table.gates), dtype=bool),
-                   _gate_noise(table.gates, noise))
-
-    @classmethod
-    def from_table(cls, table: CoreTable, kept, noise) -> "GaussianLayerModel":
-        """The model of ``table`` with the rows ``kept`` (the mask from
-        ``CoreTable.kept``) under the perturbations ``noise``."""
-        model = cls.__new__(cls)
-        model._fill(table, kept, noise)
-        return model
-
-    def _fill(self, table: CoreTable, kept, noise) -> None:
+    def __init__(self, table: CoreTable, kept, noise):
         self.core = core = table.core
-        p = table.n_prelude
-        mats = noise[:p] @ np.where(kept[:p, None, None], table.kernels,
-                                    XH_MATRIX)
-        # a_q: the prelude gates of qubit q, rank by rank, on |0>
-        self.qubits = np.zeros((core, 2), dtype=complex)
-        self.qubits[:, 0] = 1.0
-        for rank in range(int(table.ranks.max(initial=-1)) + 1):
-            rows = table.ranks == rank
-            targets = table.targets[rows]
-            self.qubits[targets] = np.einsum("gij,gj->gi", mats[rows],
-                                             self.qubits[targets])
-        rows = np.flatnonzero(kept[p:])
-        pert, column = noise[p:][rows], table.columns[rows]
+        # a_q: the prelude gate of qubit q, or XH where pruned, on |0>
+        mats = np.where(kept[:core, None, None], table.kernels, XH_MATRIX)
+        self.qubits = (noise[:core] @ mats)[:, :, 0]
+        rows = np.flatnonzero(kept[core:])
+        pert, column = noise[core:][rows], table.columns[rows]
         f_rest = pert[:, 0, 0]
         ratio = (f_rest * column[:, 0] + pert[:, 0, 1] * column[:, 1]) / f_rest
         j, k = table.pairs[rows].T

@@ -85,6 +85,10 @@ def _parse(text: str) -> tuple[Circuit, list[int]]:
         alpha = float(fields["alpha"])
     except (KeyError, ValueError) as exc:
         raise CircuitParseError(1, f"bad header field: {exc}") from exc
+    if data < 0 or anc < 0:
+        raise CircuitParseError(
+            1, f"register sizes must be non-negative, got data={data} "
+               f"ancilla={anc}")
     if not (0.0 < alpha < 1.0):
         raise CircuitParseError(1, f"alpha must lie in (0, 1), got {alpha}")
 

@@ -25,6 +25,7 @@ from gausskit.circuit import Circuit, MeasureBarrier
 from gausskit.gates import Control, Gate, GateKind, GaussianSpec
 from gausskit.optimizer import ErrorBudget, expected_t_depth
 from gausskit.simulator import (
+    CoreTable,
     GaussianLayerModel,
     l2_error,
     simulate_exact,
@@ -176,6 +177,16 @@ def test_criterion_5_qubit_threshold_corners():
             f"got {got_low} and {got_high}")
 
 
+def _probe(layered, budget, seed):
+    """The core-register model ``estimate`` probes for ``layered`` at
+    ``budget``: the unpruned table, its kept rows and noise from ``seed``."""
+    table = CoreTable(layered)
+    kept = table.kept(budget)
+    return GaussianLayerModel(
+        table, kept, table.draw_noise(budget, kept,
+                                      np.random.default_rng(seed)))
+
+
 def test_criterion_6_expected_cost_vs_monte_carlo():
     t0 = time.time()
     detail_parts = []
@@ -185,7 +196,9 @@ def test_criterion_6_expected_cost_vs_monte_carlo():
         lay = layered_full_gaussian(n, alpha)
         budget = ErrorBudget.two_to_one(1e-4)
         n0, nks = resources.layered_t_depth(lay, budget)
-        ps = GaussianLayerModel(lay).probs(range(len(lay.layers)))
+        # the zero-budget probe: the noiseless, unpruned circuit
+        ps = _probe(lay, ErrorBudget.two_to_one(0.0), 0).probs(
+            range(len(lay.layers)))
         formula = expected_t_depth(n0, list(zip(nks, ps)))
         stats = simulate_rus_process(n0, nks, ps, 100000, seed=seed)
         dev = abs(stats.mean - formula) / stats.stderr
@@ -260,10 +273,8 @@ def test_criterion_9_ordering_benefit_at_scale():
         rep = resources.estimate(spec, target_error=eps_target, seed=7)
         budget = ErrorBudget.two_to_one(rep.delta)
         layered = layered_full_gaussian(n, alpha)
+        model = _probe(layered, budget, 7)
         layered, _ = gk.prune_layered(layered, budget)
-        noise = simulator.realize_noise(layered.to_circuit().gates(), budget,
-                                        np.random.default_rng(7))
-        model = GaussianLayerModel(layered, noise=noise)
         n0, nks = resources.layered_t_depth(layered, budget)
         n_layers = len(nks)
 

@@ -17,6 +17,12 @@ def test_validate_empty_circuit():
     assert validate(Circuit(data_qubits=2, ancilla_qubits=0, alpha=0.5)) == []
 
 
+@pytest.mark.parametrize("data, ancilla", [(-3, 0), (2, -1)])
+def test_circuit_rejects_negative_register_sizes(data, ancilla):
+    with pytest.raises(ParameterError, match="non-negative"):
+        Circuit(data_qubits=data, ancilla_qubits=ancilla, alpha=0.5)
+
+
 def test_validate_flags_unreset_ancilla():
     reuse = Circuit(
         data_qubits=1, ancilla_qubits=1, alpha=0.5,

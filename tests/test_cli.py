@@ -94,7 +94,11 @@ def test_simulate_parse_error_exit_3(runner, tmp_path):
     ("QUBITS data=2 ancilla=0 alpha=1.5\nH q0\n", 1),
     # a gate beyond the register
     ("QUBITS data=2 ancilla=0 alpha=0.5\n\nH q0\n# top\nH q7\n", 5),
-], ids=["unmeasured-ancilla", "alpha-range", "qubit-range"])
+    # negative register sizes
+    ("QUBITS data=-3 ancilla=0 alpha=0.5\n", 1),
+    ("QUBITS data=2 ancilla=-1 alpha=0.5\nH q0\n", 1),
+], ids=["unmeasured-ancilla", "alpha-range", "qubit-range", "negative-data",
+        "negative-ancilla"])
 def test_simulate_invalid_file_exit_3(runner, tmp_path, text, line):
     bad = tmp_path / "bad.txt"
     bad.write_text(text)

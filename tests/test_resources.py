@@ -190,14 +190,16 @@ def test_estimate_capacity_covers_state_ideal_and_chunk(monkeypatch, n):
 @pytest.mark.parametrize("n", [4, 9, 14])
 def test_noiseless_run_is_the_zero_budget_probe(n):
     # the zero budget prunes nothing and draws no noise: the probe gives
-    # the probabilities and error of the model read from the whole circuit
+    # the probabilities of the flat post-selected run of the whole circuit,
+    # and the error of its state to rounding
     alpha = 1 - 1e-6
     rep, eps = resources.noiseless_run(n, alpha)
-    model = simulator.GaussianLayerModel(layered_full_gaussian(n, alpha))
-    assert rep.layer_probs == tuple(
-        model.probs(range(model.n_layers)).tolist())
-    assert eps == simulator.l2_error(
-        simulator.ideal_core_half_shifted(n - 1, alpha), model.state())
+    sv, flat = simulator.simulate_postselected(
+        layered_full_gaussian(n, alpha).to_circuit())
+    np.testing.assert_allclose(rep.layer_probs, flat.layer_probs,
+                               rtol=0, atol=1e-13)
+    assert eps == pytest.approx(simulator.l2_error(
+        simulator.ideal_gaussian(n, alpha), sv.amplitudes), rel=0, abs=1e-14)
 
 
 def test_estimate_target_error_search():

@@ -25,6 +25,7 @@ from gausskit.simulator import (
     GaussianLayerModel,
     _LOW_BITS,
     _apply_gate,
+    _identities,
     ideal_core_half_shifted,
     ideal_gaussian,
     l2_error,
@@ -391,9 +392,35 @@ def test_ideal_state_beta_mode():
     np.testing.assert_allclose(amps, brute, atol=1e-12)
 
 
+def _probe(full, budget=ErrorBudget.uniform(0.0), noise_seed=0, noisy=True):
+    """``estimate``'s probe of the unpruned ``full`` at ``budget``: its
+    table, the rows pruning keeps and the kept rotations' noise drawn from
+    ``noise_seed`` (the identity when not ``noisy``); the default is the
+    zero budget, which prunes nothing and draws no noise."""
+    table = CoreTable(full)
+    kept = table.kept(budget)
+    noise = (table.draw_noise(budget, kept, np.random.default_rng(noise_seed))
+             if noisy else _identities(len(table.gates)))
+    return GaussianLayerModel(table, kept, noise)
+
+
+def _flat_reference(full, budget, noise_seed, order, noisy=True):
+    """(circuit, noise) of the same run per gate: ``full`` pruned at
+    ``budget`` and flattened with its layers in ``order`` and no postlude,
+    and ``realize_noise`` from ``noise_seed`` (None when not ``noisy``)."""
+    lay, _ = prune_layered(full, budget)
+    noise = (realize_noise(lay.to_circuit().gates(), budget,
+                           np.random.default_rng(noise_seed))
+             if noisy else None)
+    ordered = dataclasses.replace(
+        lay, layers=tuple(lay.layers[i] for i in order),
+        postlude=dataclasses.replace(lay.postlude, elements=()))
+    return ordered.to_circuit(), noise
+
+
 def test_core_pipeline_matches_full_simulation():
     lay = layered_full_gaussian(7, 0.9)
-    model = GaussianLayerModel(lay)
+    model = _probe(lay)
     core_state = model.state()
     probs = model.probs(range(len(lay.layers)))
     _, rep = simulate_postselected(lay.to_circuit())
@@ -415,23 +442,19 @@ def _assert_same_run(state, probs, sv_exact, rep_exact):
 @given(n=st.integers(4, 8), draw=st.integers(0, 2 ** 32 - 1),
        noisy=st.booleans())
 def test_core_pipeline_matches_exact_backend(n, draw, noisy):
-    # relabelled rounds, pruning (the prelude then holds H/X pairs) and a
-    # random layer order; the exact backend runs the same flattened layers
+    # relabelled rounds, pruning (the flat prelude then holds H/X pairs)
+    # and a random layer order; the exact backend runs the same pruned,
+    # flattened layers
     rng = np.random.default_rng(draw)
     eps = 10.0 ** -rng.uniform(1.5, 4.0)
     budget = ErrorBudget.two_to_one(min(0.2, eps * 10.0 ** rng.uniform(-0.5, 1.5)))
-    lay, _ = prune_layered(
-        layered_full_gaussian(n, 1.0 - eps, rounds=pack_layers(n - 1, rng)),
-        budget)
-    noise = (realize_noise(lay.to_circuit().gates(), budget, rng)
-             if noisy else None)
-    order = tuple(int(i) for i in rng.permutation(len(lay.layers)))
-    model = GaussianLayerModel(lay, noise=noise)
+    full = layered_full_gaussian(n, 1.0 - eps, rounds=pack_layers(n - 1, rng))
+    noise_seed = int(rng.integers(2 ** 31))
+    model = _probe(full, budget, noise_seed, noisy)
+    order = tuple(int(i) for i in rng.permutation(model.n_layers))
     state, probs = model.state(), model.probs(order)
-    ordered = dataclasses.replace(
-        lay, layers=tuple(lay.layers[i] for i in order),
-        postlude=dataclasses.replace(lay.postlude, elements=()))
-    sv, rep = simulate_exact(ordered.to_circuit(), noise=noise)
+    sv, rep = simulate_exact(*_flat_reference(full, budget, noise_seed, order,
+                                              noisy))
     # the top qubit (most significant) holds only the prelude's Hadamard
     _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), state), probs, sv, rep)
 
@@ -462,14 +485,17 @@ def test_postselected_windows_match_exact_backend(full, n, draw, noisy):
 @pytest.mark.parametrize("gate", [
     Gate(GateKind.CNOT, 1, controls=(Control(0),)),
     Gate(GateKind.H, 7),  # an ancilla
+    Gate(GateKind.X, 2),  # a second gate on a core qubit
 ])
 def test_core_pipeline_rejects_gate_outside_product_prelude(gate):
+    # the table reads only the unpruned product prelude: the top-qubit H
+    # and one uncontrolled gate per core qubit, in qubit order
     lay = layered_full_gaussian(6, 0.9)
     prelude = dataclasses.replace(
         lay.prelude, elements=lay.prelude.elements + (gate,))
     lay = dataclasses.replace(lay, prelude=prelude)
     with pytest.raises(ParameterError):
-        GaussianLayerModel(lay)
+        CoreTable(lay)
 
 
 def _unchecked_layer(gate):
@@ -494,14 +520,14 @@ def test_layer_model_rejects_window_outside_pair_contract(gate):
     lay = layered_full_gaussian(5, 0.9)
     lay = lay.with_layers(lay.layers + (_unchecked_layer(gate),))
     with pytest.raises(ParameterError):
-        GaussianLayerModel(lay)
+        CoreTable(lay)
 
 
 def test_layer_model_multiplies_repeated_pairs():
     # two windows on one pair act as one window with the product ratio
     lay = layered_full_gaussian(5, 0.9)
     twice = lay.with_layers(lay.layers + lay.layers[:1])
-    model = GaussianLayerModel(twice)
+    model = _probe(twice)
     sv, rep = simulate_postselected(dataclasses.replace(
         twice, postlude=dataclasses.replace(twice.postlude, elements=())
     ).to_circuit())
@@ -554,7 +580,7 @@ def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
 
     table = CoreTable(full)
     kept = table.kept(budget)
-    model = GaussianLayerModel.from_table(
+    model = GaussianLayerModel(
         table, kept,
         table.draw_noise(budget, kept, np.random.default_rng(noise_seed)))
 
@@ -581,7 +607,7 @@ def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
 def test_core_pipeline_capacity_boundary(monkeypatch):
     # predicted need of state(): one complex 2**core state, the
     # tracemalloc peak measured at core 15 and at core 18
-    model = GaussianLayerModel(layered_full_gaussian(9, 0.95))
+    model = _probe(layered_full_gaussian(9, 0.95))
     need_mb = ((1 << 8) * 16 * 1.0 + FIXED_BYTES) / 1e6
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
     model.state()
@@ -598,7 +624,7 @@ def test_layer_model_capacity_boundary(monkeypatch):
     for n in (9, 16):
         core = n - 1
         lay = layered_full_gaussian(n, 0.99999)
-        model = GaussianLayerModel(lay)
+        model = _probe(lay)
         order = range(len(lay.layers))
         floats = ((1 << core - 1) + sum(1 << min(k, 12) for k in range(core))
                   + len(order))
@@ -618,7 +644,7 @@ def test_layer_model_capacity_boundary(monkeypatch):
 
 def test_layer_model_matches_sequential_probs():
     lay = layered_full_gaussian(8, 0.97)
-    model = GaussianLayerModel(lay)
+    model = _probe(lay)
     identity = list(range(len(lay.layers)))
     np.testing.assert_allclose(model.probs(identity),
                                simulate_postselected(
@@ -632,15 +658,12 @@ def test_layer_model_matches_sequential_probs():
     # past the hypothesis sizes: a noisy, pruned 13-qubit run in a random
     # order against the flat circuit in that order
     budget = ErrorBudget.two_to_one(1e-3)
-    lay, info = prune_layered(layered_full_gaussian(13, 0.99999), budget)
+    full = layered_full_gaussian(13, 0.99999)
+    _, info = prune_layered(full, budget)
     assert info.removed_b_gates > 0 and info.replaced_a_gates > 0
-    noise = realize_noise(lay.to_circuit().gates(), budget, rng)
-    order = tuple(int(i) for i in rng.permutation(len(lay.layers)))
-    model = GaussianLayerModel(lay, noise=noise)
-    ordered = dataclasses.replace(
-        lay, layers=tuple(lay.layers[i] for i in order),
-        postlude=dataclasses.replace(lay.postlude, elements=()))
-    sv, rep = simulate_postselected(ordered.to_circuit(), noise=noise)
+    model = _probe(full, budget, noise_seed=2)
+    order = tuple(int(i) for i in rng.permutation(model.n_layers))
+    sv, rep = simulate_postselected(*_flat_reference(full, budget, 2, order))
     _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), model.state()),
                      model.probs(order), sv, rep)
 
@@ -655,22 +678,19 @@ def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
     # them; a noisy, pruned run against the flat circuit in that order
     n = _LOW_BITS + extra
     budget = ErrorBudget.two_to_one(1e-3)
-    lay, info = prune_layered(layered_full_gaussian(n, 1 - 1e-8), budget)
+    full = layered_full_gaussian(n, 1 - 1e-8)
+    lay, info = prune_layered(full, budget)
     assert info.removed_b_gates > 0 and info.replaced_a_gates > 0
     high = [g for layer in lay.layers for g in layer.gates
             if min(c.qubit for c in g.controls) >= _LOW_BITS]
     assert bool(high) == (extra > 2)
-    rng = np.random.default_rng(n)
-    noise = realize_noise(lay.to_circuit().gates(), budget, rng)
     order = tuple(range(len(lay.layers)))
     if random_order:
-        order = tuple(int(i) for i in rng.permutation(len(order)))
-    ordered = dataclasses.replace(
-        lay, layers=tuple(lay.layers[i] for i in order),
-        postlude=dataclasses.replace(lay.postlude, elements=()))
-    _, rep = simulate_postselected(ordered.to_circuit(), noise=noise)
+        order = tuple(int(i) for i in
+                      np.random.default_rng(n).permutation(len(order)))
+    _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
     np.testing.assert_allclose(
-        GaussianLayerModel(lay, noise=noise).probs(order), rep.layer_probs,
+        _probe(full, budget, noise_seed=n).probs(order), rep.layer_probs,
         rtol=0, atol=1e-12)
 
 
@@ -701,7 +721,7 @@ def test_monte_carlo_matches_formula_on_circuit():
     lay = layered_full_gaussian(6, 0.9)
     budget = ErrorBudget.two_to_one(1e-4)
     n0, nks = layered_t_depth(lay, budget)
-    ps = GaussianLayerModel(lay).probs(range(len(lay.layers)))
+    ps = _probe(lay).probs(range(len(lay.layers)))
     stats = simulate_rus_process(n0, nks, ps, 100000, seed=0)
     et = expected_t_depth(n0, list(zip(nks, ps)))
     assert abs(stats.mean - et) <= 3 * stats.stderr
