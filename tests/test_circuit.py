@@ -23,6 +23,12 @@ def test_circuit_rejects_negative_register_sizes(data, ancilla):
         Circuit(data_qubits=data, ancilla_qubits=ancilla, alpha=0.5)
 
 
+@pytest.mark.parametrize("ancilla", [0, 1])
+def test_circuit_rejects_an_empty_data_register(ancilla):
+    with pytest.raises(ParameterError, match="data >= 1"):
+        Circuit(data_qubits=0, ancilla_qubits=ancilla, alpha=0.5)
+
+
 def test_validate_flags_unreset_ancilla():
     reuse = Circuit(
         data_qubits=1, ancilla_qubits=1, alpha=0.5,

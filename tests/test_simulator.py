@@ -617,17 +617,23 @@ def test_core_pipeline_capacity_boundary(monkeypatch):
 
 
 def test_layer_model_capacity_boundary(monkeypatch):
-    # predicted need of probs(): the low weights (2**(core - 1) floats),
-    # the column factors stored on up to 12 low bits (2**min(k, 12) floats
-    # for bit k), ``out`` (one float per layer) and numpy's fixed buffers;
-    # the call it admits stays under it
-    for n in (9, 16):
+    # predicted need of probs(): with b = min(core, 12) low bits and the
+    # h = core - b high bits split into h - h // 2 and h // 2, p1 and p2
+    # (2**(h - h // 2) and 2**(h // 2) rows of 2**b floats), a, their
+    # product and the high columns (2**h floats each, at most), the column
+    # factors stored on the low bits (2**min(k, b) floats for bit k),
+    # ``out`` (one float per layer) and numpy's fixed buffers; the call it
+    # admits stays under it.  n = 16 and 19 split the high bits on both
+    # sides, 2 + 1 and 3 + 3.
+    for n in (9, 16, 19):
         core = n - 1
+        b = min(core, 12)
+        h = core - b
         lay = layered_full_gaussian(n, 0.99999)
         model = _probe(lay)
         order = range(len(lay.layers))
-        floats = ((1 << core - 1) + sum(1 << min(k, 12) for k in range(core))
-                  + len(order))
+        floats = ((1 << b + h - h // 2) + (1 << b + h // 2) + 3 * (1 << h)
+                  + sum(1 << min(k, b) for k in range(core)) + len(order))
         need_mb = (floats * 8 + FIXED_BYTES) / 1e6
         monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
         tracemalloc.start()
@@ -670,12 +676,14 @@ def test_layer_model_matches_sequential_probs():
 
 @pytest.mark.parametrize("random_order", [False, True],
                          ids=["identity", "random"])
-@pytest.mark.parametrize("extra", [1, 2, 4])
+@pytest.mark.parametrize("extra", [1, 2, 3, 4, 6])
 def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
-    # probs() stores each column's factors on the low _LOW_BITS bits and
-    # keeps those above as scalars: up to n = b + 2 every column is stored,
-    # at n = b + 4 the top columns have scalars and the top bit folds over
-    # them; a noisy, pruned run against the flat circuit in that order
+    # probs() stores each column's factors on the low b = _LOW_BITS bits
+    # and the h = extra - 1 bits above them split between the rows of p1
+    # and p2: up to n = b + 1 there is no high bit, at n = b + 2 the one
+    # high bit is a row of p1, and from n = b + 3 windows between high
+    # bits fill a, with an even (2 = 1 + 1) and odd (3 = 2 + 1, 5 = 3 + 2)
+    # split; a noisy, pruned run against the flat circuit in that order
     n = _LOW_BITS + extra
     budget = ErrorBudget.two_to_one(1e-3)
     full = layered_full_gaussian(n, 1 - 1e-8)
@@ -688,6 +696,32 @@ def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
     if random_order:
         order = tuple(int(i) for i in
                       np.random.default_rng(n).permutation(len(order)))
+    _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
+    np.testing.assert_allclose(
+        _probe(full, budget, noise_seed=n).probs(order), rep.layer_probs,
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("extra", [4, 6])
+def test_layer_probs_of_a_layer_among_the_high_bits(extra):
+    # each layer's windows between bits above _LOW_BITS move into a layer
+    # of their own, whose probability changes only the high columns, a;
+    # a noisy, pruned run in a random order against the flat circuit
+    n = _LOW_BITS + extra
+    full = layered_full_gaussian(n, 1 - 1e-8)
+    layers = []
+    for layer in full.layers:
+        parts = ([], [])
+        for g in layer.gates:
+            parts[min(c.qubit for c in g.controls) >= _LOW_BITS].append(g)
+        layers += [Layer(tuple(p)) for p in parts if p]
+    full = full.with_layers(tuple(layers))
+    budget = ErrorBudget.two_to_one(1e-3)
+    lay, _ = prune_layered(full, budget)
+    assert any(min(c.qubit for g in layer.gates for c in g.controls)
+               >= _LOW_BITS for layer in lay.layers)
+    order = tuple(int(i) for i in
+                  np.random.default_rng(n).permutation(len(lay.layers)))
     _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
     np.testing.assert_allclose(
         _probe(full, budget, noise_seed=n).probs(order), rep.layer_probs,
