@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simulator
-from .builders import layered_full_gaussian
 from .circuit import Circuit, LayeredCircuit, MeasureBarrier
 from .gates import CLIFFORD_KINDS, Gate, GaussianSpec, ParameterError
 from .optimizer import (ErrorBudget, expected_t_depth, order_layers,
@@ -129,14 +128,15 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
              ) -> EstimateReport:
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
-    Once capacity is checked, the layered circuit is built and read once
-    into a ``simulator.CoreTable``.  Every gate budget then runs one probe of
-    array operations: prune the table's rows against the budget, draw
-    noise from ``seed`` in gate order of the pruned circuit, fill the
-    core-register model ``simulator.GaussianLayerModel(table, kept, noise)``
-    and take the error from its state.  The windows
-    commute, so that state, and the error, are the same in every layer
-    order.  The accepted budget's pruned circuit prices the run, and the
+    The spec's one ``simulator.CoreTable(n_qubits, alpha)`` checks
+    capacity, builds the unpruned layered circuit, reads its rows and holds
+    the ideal core state.  Every gate budget then runs one probe of array
+    operations: prune the table's rows against the budget, draw noise from
+    ``seed`` in gate order of the pruned circuit, fill the core-register
+    model ``simulator.GaussianLayerModel(table, kept, noise)`` and take the
+    error of its state from the table's ideal.  The windows commute, so
+    that state, and the error, are the same in every layer order.  The
+    table's circuit pruned at the accepted budget prices the run, and the
     real weights give the probabilities in packed order, which pick the
     optimal layer order (the identity order reads them as they are, a
     random order does not need them), and the probabilities in the chosen
@@ -158,13 +158,13 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     if order not in ("optimal", "identity", "random"):
         raise ParameterError(f"unknown ordering scheme {order!r}")
     alpha = spec.derived_alpha
-    full, table, ideal = _read_spec(spec.n_qubits, alpha)
+    table = simulator.CoreTable(spec.n_qubits, alpha)
     if target_error is None:
-        run = _packed_run(table, spec.gate_error, seed, alloc, ideal)
+        run = _packed_run(table, spec.gate_error, seed, alloc)
     else:
-        run = _search_delta(table, target_error, seed, alloc, ideal)
+        run = _search_delta(table, target_error, seed, alloc)
 
-    layered, pruned = prune_layered(full, run.budget)
+    layered, pruned = prune_layered(table.layered, run.budget)
     n0, nks = layered_t_depth(layered, run.budget)
     packed = range(len(nks))
     if order == "identity":
@@ -194,22 +194,12 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
 def noiseless_run(n_qubits: int, alpha: float
                   ) -> tuple[simulator.SimReport, float]:
     """The layer probabilities in packed order and the error of a noiseless
-    spec run: ``estimate``'s probe at the zero budget, which prunes
-    nothing, as every prune distance is at least 0, and draws no noise."""
-    _, table, ideal = _read_spec(n_qubits, alpha)
-    run = _packed_run(table, 0.0, 0, "uniform", ideal)
+    spec run: ``estimate``'s probe of ``simulator.CoreTable(n_qubits,
+    alpha)`` at the zero budget, which prunes nothing, as every prune
+    distance is at least 0, and draws no noise."""
+    run = _packed_run(simulator.CoreTable(n_qubits, alpha), 0.0, 0, "uniform")
     probs = run.model.probs(range(run.model.n_layers))
     return simulator.SimReport(tuple(probs.tolist())), run.eps
-
-
-def _read_spec(n_qubits: int, alpha: float
-               ) -> tuple[LayeredCircuit, simulator.CoreTable, np.ndarray]:
-    """A spec run's unpruned layered circuit, its ``CoreTable`` and the
-    ideal core state, once the run's capacity is checked."""
-    simulator.check_spec_capacity(n_qubits - 1)
-    full = layered_full_gaussian(n_qubits, alpha)
-    return (full, simulator.CoreTable(full),
-            simulator.ideal_core_half_shifted(n_qubits - 1, alpha))
 
 
 def _budget(delta: float, alloc: str) -> ErrorBudget:
@@ -221,26 +211,24 @@ def _budget(delta: float, alloc: str) -> ErrorBudget:
 
 
 def _packed_run(table: simulator.CoreTable, delta: float, seed: int,
-                alloc: str, ideal: np.ndarray) -> _PackedRun:
-    """The run of the unpruned circuit read into ``table`` at gate budget
-    ``delta``; its core state is dropped on return, before the next
-    candidate builds its own."""
+                alloc: str) -> _PackedRun:
+    """The probe of ``table`` at gate budget ``delta``; its core state is
+    dropped on return, before the next candidate builds its own."""
     budget = _budget(delta, alloc)
     kept = table.kept(budget)
     noise = table.draw_noise(budget, kept, np.random.default_rng(seed))
     model = simulator.GaussianLayerModel(table, kept, noise)
-    eps = simulator.l2_error(ideal, model.state())
+    eps = simulator.l2_error(table.ideal, model.state())
     return _PackedRun(budget, model, eps)
 
 
 def _search_delta(table: simulator.CoreTable, target_error: float,
-                  seed: int, alloc: str, ideal: np.ndarray) -> _PackedRun:
+                  seed: int, alloc: str) -> _PackedRun:
     """The run at the grid delta ``_grid_search`` finds for ``target_error``."""
     runs: dict[int, _PackedRun] = {}
 
     def eps_at(k: int) -> float:
-        runs[k] = _packed_run(table, 10.0 ** _grid_log_delta(k), seed, alloc,
-                              ideal)
+        runs[k] = _packed_run(table, 10.0 ** _grid_log_delta(k), seed, alloc)
         return runs[k].eps
 
     return runs[_grid_search(eps_at, target_error)]

@@ -16,11 +16,12 @@ Three engines, one per register; the two flat ones serve circuit files:
   a column of pair factors.  ``probs(order)`` sums the real weights
   |amplitude|**2 as each layer joins with one small matrix product of
   arrays refilled the same way, from columns stored on the low 12 bits
-  and on the bits above.  ``estimate`` reads the circuit once into a
-  ``CoreTable``, one row per gate, and each gate budget it tries is a
-  probe: ``kept`` prunes with one comparison over all rows, ``draw_noise``
-  draws the kept rotations' noise as one array and ``GaussianLayerModel``
-  fills the model.
+  and on the bits above.  ``CoreTable(n_qubits, alpha)`` is a spec run's
+  one object: it checks capacity, builds the unpruned layered circuit,
+  reads it into one row per gate and holds the ideal core state.  Each
+  gate budget ``estimate`` tries is a probe: ``kept`` prunes with one
+  comparison over all rows, ``draw_noise`` draws the kept rotations' noise
+  as one array and ``GaussianLayerModel`` fills the model.
 
 The flat engines touch a state only through ``_block``, the strided view
 that fixes some bits and leaves the rest free: a gate applies its 2x2
@@ -47,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, LayeredCircuit, MeasureBarrier
+from .builders import _normalize_quadratic_form, layered_full_gaussian
+from .circuit import Circuit, MeasureBarrier
 from .gates import (ROTATION_KINDS, XH_MATRIX, Gate, GateKind,
                     ParameterError, rotation_kernel)
 from .optimizer import ErrorBudget, prune_distance, prunes
@@ -453,8 +455,6 @@ def ideal_phase_state(n: int, alpha: float, d: int) -> np.ndarray:
 
 
 def ideal_gaussian_2d(n_x: int, n_y: int, q, alpha: float) -> np.ndarray:
-    from .builders import _normalize_quadratic_form
-
     cxx, cxy, cyy = _normalize_quadratic_form(q)
     x = np.arange(1 << n_x, dtype=float)[:, None]
     y = np.arange(1 << n_y, dtype=float)[None, :]
@@ -477,32 +477,25 @@ def ideal_core_half_shifted(core: int, alpha: float) -> np.ndarray:
 # Layered-Gaussian core register (windows as commuting diagonals)
 
 
-def _window_pair(gate: Gate, core: int) -> tuple[int, int]:
-    """The control pair j < k of a layer window; only two closed controls
-    on core qubits make the window the factor R[j, k]**(x_j*x_k)."""
-    qubits = sorted(c.qubit for c in gate.controls if c.closed)
-    if len(gate.controls) != 2 or len(qubits) != 2 or qubits[1] >= core:
-        raise ParameterError(
-            "layer windows need two closed controls on core qubits")
-    return qubits[0], qubits[1]
-
-
 def _identities(count: int) -> np.ndarray:
     return np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2)).copy()
 
 
 class CoreTable:
-    """The core register of a layered Gaussian as arrays, read once.
+    """The core register of the layered Gaussian of (n_qubits, alpha) as
+    arrays, and its ideal state.
 
-    The rows are the prelude's one gate per core qubit, in qubit order,
+    The table first refuses a run the memory budget cannot hold
+    (``check_spec_capacity``, which counts the ideal), then builds the
+    unpruned ``layered = layered_full_gaussian(n_qubits, alpha, rounds)``;
+    ``rounds`` replaces the builder's packed pair rounds, as there.  The
+    rows are the prelude's merged rotation per core qubit, in qubit order,
     then the windows in layer and slot order.  Every row has its
     ``optimizer.prune_distance`` and two flags, whether it is a rotation
     and whether it has controls, which set its budget.  A prelude row also
-    has its kernel; a window has its pair j < k, its layer and the column
-    (K00, K10) of its kernel.  Reading makes the checks the model rests
-    on: the prelude is the unpruned product prelude, the top-qubit H and
-    then one uncontrolled gate on each core qubit in qubit order, and each
-    window has two closed controls on core qubits.
+    has its kernel; a window has its pair j < k (its two closed controls),
+    its layer and the column (K00, K10) of its kernel.  Last, ``ideal`` is
+    the ideal core state ``ideal_core_half_shifted``.
 
     A gate budget is then a probe of array operations: ``kept`` prunes
     with one comparison over all rows, ``draw_noise`` draws the kept
@@ -510,24 +503,18 @@ class CoreTable:
     fills the model; no probe builds a ``Gate``, a circuit or a noise dict.
     """
 
-    def __init__(self, layered: LayeredCircuit):
-        self.core = core = layered.data_qubits - 1
-        alpha = layered.alpha
-        prelude = layered.prelude.elements
-        if ([getattr(g, "target", None) for g in prelude] != [core, *range(core)]
-                or prelude[0].kind is not GateKind.H
-                or any(g.controls for g in prelude)):
-            raise ParameterError(
-                "the prelude must be the top-qubit H and one uncontrolled "
-                "gate per core qubit, in qubit order")
-        prelude = prelude[1:]
+    def __init__(self, n_qubits: int, alpha: float, rounds=None):
+        self.core = core = n_qubits - 1
+        check_spec_capacity(core)
+        self.layered = layered = layered_full_gaussian(n_qubits, alpha, rounds)
+        prelude = layered.prelude.elements[1:]  # past the top qubit's H
         windows = [g for layer in layered.layers for g in layer.gates]
         self.gates = prelude + tuple(windows)
         self.window_layer = np.array(
             [i for i, layer in enumerate(layered.layers) for _ in layer.gates],
             dtype=np.intp)
-        self.pairs = np.array([_window_pair(g, core) for g in windows],
-                              dtype=np.intp).reshape(-1, 2)
+        self.pairs = np.array([sorted(c.qubit for c in g.controls)
+                               for g in windows], dtype=np.intp).reshape(-1, 2)
         self.kernels = np.array(
             [rotation_kernel(g.kind, g.exponent, alpha) for g in prelude]
         ).reshape(-1, 2, 2)
@@ -539,6 +526,7 @@ class CoreTable:
         self.rotation, self.controlled = np.array(
             [(g.kind in ROTATION_KINDS, bool(g.controls)) for g in self.gates],
             dtype=bool).reshape(-1, 2).T
+        self.ideal = ideal_core_half_shifted(core, alpha)
 
     def kept(self, budget: ErrorBudget) -> np.ndarray:
         """The rows pruning at ``budget`` keeps: a prelude row it does not

@@ -177,10 +177,9 @@ def test_criterion_5_qubit_threshold_corners():
             f"got {got_low} and {got_high}")
 
 
-def _probe(layered, budget, seed):
-    """The core-register model ``estimate`` probes for ``layered`` at
-    ``budget``: the unpruned table, its kept rows and noise from ``seed``."""
-    table = CoreTable(layered)
+def _probe(table, budget, seed):
+    """The core-register model ``estimate`` probes for the ``CoreTable``
+    ``table`` at ``budget``: its kept rows and noise from ``seed``."""
     kept = table.kept(budget)
     return GaussianLayerModel(
         table, kept, table.draw_noise(budget, kept,
@@ -193,11 +192,12 @@ def test_criterion_6_expected_cost_vs_monte_carlo():
     ok = True
     for n, alpha, seed in ((4, 0.8, 0), (6, 0.9, 1), (8, 0.95, 2),
                            (10, 0.99, 3)):
-        lay = layered_full_gaussian(n, alpha)
+        table = CoreTable(n, alpha)
+        lay = table.layered
         budget = ErrorBudget.two_to_one(1e-4)
         n0, nks = resources.layered_t_depth(lay, budget)
         # the zero-budget probe: the noiseless, unpruned circuit
-        ps = _probe(lay, ErrorBudget.two_to_one(0.0), 0).probs(
+        ps = _probe(table, ErrorBudget.two_to_one(0.0), 0).probs(
             range(len(lay.layers)))
         formula = expected_t_depth(n0, list(zip(nks, ps)))
         stats = simulate_rus_process(n0, nks, ps, 100000, seed=seed)
@@ -272,9 +272,9 @@ def test_criterion_9_ordering_benefit_at_scale():
         spec = GaussianSpec(n_qubits=n, alpha=alpha)
         rep = resources.estimate(spec, target_error=eps_target, seed=7)
         budget = ErrorBudget.two_to_one(rep.delta)
-        layered = layered_full_gaussian(n, alpha)
-        model = _probe(layered, budget, 7)
-        layered, _ = gk.prune_layered(layered, budget)
+        table = CoreTable(n, alpha)
+        model = _probe(table, budget, 7)
+        layered, _ = gk.prune_layered(table.layered, budget)
         n0, nks = resources.layered_t_depth(layered, budget)
         n_layers = len(nks)
 

@@ -233,7 +233,7 @@ def model_calls(monkeypatch):
         calls.append(("build",))
         return layered_full_gaussian(*args)
 
-    monkeypatch.setattr(resources, "layered_full_gaussian", counting_build)
+    monkeypatch.setattr(simulator, "layered_full_gaussian", counting_build)
     for name in ("state", "probs"):
         method = getattr(simulator.GaussianLayerModel, name)
 
@@ -305,9 +305,9 @@ def test_estimate_unreachable_target_builds_one_state(model_calls,
     deltas = []
     packed_run = resources._packed_run
 
-    def recording(full, delta, *args):
+    def recording(table, delta, *args):
         deltas.append(delta)
-        return packed_run(full, delta, *args)
+        return packed_run(table, delta, *args)
 
     monkeypatch.setattr(resources, "_packed_run", recording)
     spec = GaussianSpec(n_qubits=8, alpha=0.99)
@@ -318,15 +318,15 @@ def test_estimate_unreachable_target_builds_one_state(model_calls,
     assert model_calls == [("build",), ("state",)]
 
 
-def _bisection_search(full, target_error, seed, alloc, ideal):
+def _bisection_search(table, target_error, seed, alloc):
     """The oracle: 14 halvings of [-15, log10 0.05] in log10 delta, keeping
     the run at the largest midpoint that met the target."""
     lo, hi = -15.0, math.log10(0.05)
-    accepted = resources._packed_run(full, 10.0 ** lo, seed, alloc, ideal)
+    accepted = resources._packed_run(table, 10.0 ** lo, seed, alloc)
     assert accepted.eps <= target_error
     for _ in range(14):
         mid = 0.5 * (lo + hi)
-        run = resources._packed_run(full, 10.0 ** mid, seed, alloc, ideal)
+        run = resources._packed_run(table, 10.0 ** mid, seed, alloc)
         if run.eps <= target_error:
             lo, accepted = mid, run
         else:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from gausskit import simulator
 from gausskit.builders import (
     build_exponential,
     build_full_gaussian,
@@ -14,7 +15,7 @@ from gausskit.builders import (
     build_poly_phase,
     layered_full_gaussian,
 )
-from gausskit.circuit import Circuit, Layer, MeasureBarrier
+from gausskit.circuit import Circuit, MeasureBarrier
 from gausskit.gates import (ROTATION_KINDS, Control, Gate, GateKind,
                             GaussianSpec, ParameterError, rotation_kernel)
 from gausskit.optimizer import (ErrorBudget, pack_layers, prune_distance,
@@ -392,12 +393,11 @@ def test_ideal_state_beta_mode():
     np.testing.assert_allclose(amps, brute, atol=1e-12)
 
 
-def _probe(full, budget=ErrorBudget.uniform(0.0), noise_seed=0, noisy=True):
-    """``estimate``'s probe of the unpruned ``full`` at ``budget``: its
-    table, the rows pruning keeps and the kept rotations' noise drawn from
+def _probe(table, budget=ErrorBudget.uniform(0.0), noise_seed=0, noisy=True):
+    """``estimate``'s probe of the ``CoreTable`` ``table`` at ``budget``:
+    the rows pruning keeps and the kept rotations' noise drawn from
     ``noise_seed`` (the identity when not ``noisy``); the default is the
     zero budget, which prunes nothing and draws no noise."""
-    table = CoreTable(full)
     kept = table.kept(budget)
     noise = (table.draw_noise(budget, kept, np.random.default_rng(noise_seed))
              if noisy else _identities(len(table.gates)))
@@ -419,8 +419,9 @@ def _flat_reference(full, budget, noise_seed, order, noisy=True):
 
 
 def test_core_pipeline_matches_full_simulation():
-    lay = layered_full_gaussian(7, 0.9)
-    model = _probe(lay)
+    table = CoreTable(7, 0.9)
+    lay = table.layered
+    model = _probe(table)
     core_state = model.state()
     probs = model.probs(range(len(lay.layers)))
     _, rep = simulate_postselected(lay.to_circuit())
@@ -448,9 +449,10 @@ def test_core_pipeline_matches_exact_backend(n, draw, noisy):
     rng = np.random.default_rng(draw)
     eps = 10.0 ** -rng.uniform(1.5, 4.0)
     budget = ErrorBudget.two_to_one(min(0.2, eps * 10.0 ** rng.uniform(-0.5, 1.5)))
-    full = layered_full_gaussian(n, 1.0 - eps, rounds=pack_layers(n - 1, rng))
+    table = CoreTable(n, 1.0 - eps, rounds=pack_layers(n - 1, rng))
+    full = table.layered
     noise_seed = int(rng.integers(2 ** 31))
-    model = _probe(full, budget, noise_seed, noisy)
+    model = _probe(table, budget, noise_seed, noisy)
     order = tuple(int(i) for i in rng.permutation(model.n_layers))
     state, probs = model.state(), model.probs(order)
     sv, rep = simulate_exact(*_flat_reference(full, budget, noise_seed, order,
@@ -482,52 +484,13 @@ def test_postselected_windows_match_exact_backend(full, n, draw, noisy):
                      *simulate_exact(circ, noise=noise))
 
 
-@pytest.mark.parametrize("gate", [
-    Gate(GateKind.CNOT, 1, controls=(Control(0),)),
-    Gate(GateKind.H, 7),  # an ancilla
-    Gate(GateKind.X, 2),  # a second gate on a core qubit
-])
-def test_core_pipeline_rejects_gate_outside_product_prelude(gate):
-    # the table reads only the unpruned product prelude: the top-qubit H
-    # and one uncontrolled gate per core qubit, in qubit order
-    lay = layered_full_gaussian(6, 0.9)
-    prelude = dataclasses.replace(
-        lay.prelude, elements=lay.prelude.elements + (gate,))
-    lay = dataclasses.replace(lay, prelude=prelude)
-    with pytest.raises(ParameterError):
-        CoreTable(lay)
-
-
-def _unchecked_layer(gate):
-    # Layer admits only two-control B gates; skip its check so that the
-    # model's own window check is the one under test
-    layer = object.__new__(Layer)
-    object.__setattr__(layer, "gates", (gate,))
-    return layer
-
-
-@pytest.mark.parametrize("gate", [
-    Gate(GateKind.B, 6, exponent=2.0, controls=(Control(0),)),
-    Gate(GateKind.Z, 6, exponent=2.0,
-         controls=(Control(0), Control(1), Control(2))),
-    Gate(GateKind.B, 6, exponent=2.0,
-         controls=(Control(0), Control(1, closed=False))),
-    Gate(GateKind.B, 6, exponent=2.0, controls=(Control(0), Control(4))),
-])
-def test_layer_model_rejects_window_outside_pair_contract(gate):
-    # a window must be two closed controls on core qubits, the only shape
-    # the pairwise factor R[j, k]**(x_j*x_k) describes
-    lay = layered_full_gaussian(5, 0.9)
-    lay = lay.with_layers(lay.layers + (_unchecked_layer(gate),))
-    with pytest.raises(ParameterError):
-        CoreTable(lay)
-
-
 def test_layer_model_multiplies_repeated_pairs():
     # two windows on one pair act as one window with the product ratio
-    lay = layered_full_gaussian(5, 0.9)
-    twice = lay.with_layers(lay.layers + lay.layers[:1])
-    model = _probe(twice)
+    rounds = pack_layers(4)
+    table = CoreTable(5, 0.9, rounds + rounds[:1])
+    twice = table.layered
+    assert twice.layers[-1] == twice.layers[0]
+    model = _probe(table)
     sv, rep = simulate_postselected(dataclasses.replace(
         twice, postlude=dataclasses.replace(twice.postlude, elements=())
     ).to_circuit())
@@ -570,15 +533,14 @@ def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
     # allows, and 1e-2 of that puts every A within reach of XH
     low = 2.0 if case == "all_a" else 0.5
     eps = 4.0 ** -(n - 2) * 10.0 ** -rng.uniform(low, 4.0)
-    full = layered_full_gaussian(n, 1.0 - eps,
-                                 rounds=pack_layers(n - 1, rng))
+    table = CoreTable(n, 1.0 - eps, rounds=pack_layers(n - 1, rng))
+    full = table.layered
     ratio = 2.0 if alloc == "2to1" else 1.0
     delta = _probe_budget(full, case, ratio, rng)
     budget = (ErrorBudget.two_to_one if alloc == "2to1"
               else ErrorBudget.uniform)(delta)
     noise_seed = int(rng.integers(2 ** 31))
 
-    table = CoreTable(full)
     kept = table.kept(budget)
     model = GaussianLayerModel(
         table, kept,
@@ -604,10 +566,29 @@ def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
     np.testing.assert_allclose(probs, rep.layer_probs, rtol=0, atol=1e-13)
 
 
+def test_core_table_checks_capacity_before_it_builds(monkeypatch):
+    # the spec run's one capacity check (core state, ideal and l2_error's
+    # chunk) refuses before the table builds its circuit or its ideal
+    monkeypatch.setattr(simulator, "layered_full_gaussian", None)
+    monkeypatch.setattr(simulator, "ideal_core_half_shifted", None)
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", "0.1")
+    with pytest.raises(CapacityError):
+        CoreTable(12, 0.99)
+
+
+def test_core_table_holds_its_circuit_and_ideal():
+    rounds = pack_layers(5, np.random.default_rng(3))
+    table = CoreTable(6, 0.9, rounds)
+    assert table.layered == layered_full_gaussian(6, 0.9, rounds)
+    assert np.array_equal(table.ideal, ideal_core_half_shifted(5, 0.9))
+    assert [tuple(p) for p in table.pairs.tolist()] == [
+        pair for pairs in rounds for pair in pairs]
+
+
 def test_core_pipeline_capacity_boundary(monkeypatch):
     # predicted need of state(): one complex 2**core state, the
     # tracemalloc peak measured at core 15 and at core 18
-    model = _probe(layered_full_gaussian(9, 0.95))
+    model = _probe(CoreTable(9, 0.95))
     need_mb = ((1 << 8) * 16 * 1.0 + FIXED_BYTES) / 1e6
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
     model.state()
@@ -629,8 +610,11 @@ def test_layer_model_capacity_boundary(monkeypatch):
         core = n - 1
         b = min(core, 12)
         h = core - b
-        lay = layered_full_gaussian(n, 0.99999)
-        model = _probe(lay)
+        # the table checks the whole spec run's capacity: build it unlimited
+        monkeypatch.delenv("GAUSSKIT_MEM_LIMIT_MB", raising=False)
+        table = CoreTable(n, 0.99999)
+        lay = table.layered
+        model = _probe(table)
         order = range(len(lay.layers))
         floats = ((1 << b + h - h // 2) + (1 << b + h // 2) + 3 * (1 << h)
                   + sum(1 << min(k, b) for k in range(core)) + len(order))
@@ -649,8 +633,9 @@ def test_layer_model_capacity_boundary(monkeypatch):
 
 
 def test_layer_model_matches_sequential_probs():
-    lay = layered_full_gaussian(8, 0.97)
-    model = _probe(lay)
+    table = CoreTable(8, 0.97)
+    lay = table.layered
+    model = _probe(table)
     identity = list(range(len(lay.layers)))
     np.testing.assert_allclose(model.probs(identity),
                                simulate_postselected(
@@ -664,10 +649,11 @@ def test_layer_model_matches_sequential_probs():
     # past the hypothesis sizes: a noisy, pruned 13-qubit run in a random
     # order against the flat circuit in that order
     budget = ErrorBudget.two_to_one(1e-3)
-    full = layered_full_gaussian(13, 0.99999)
+    table = CoreTable(13, 0.99999)
+    full = table.layered
     _, info = prune_layered(full, budget)
     assert info.removed_b_gates > 0 and info.replaced_a_gates > 0
-    model = _probe(full, budget, noise_seed=2)
+    model = _probe(table, budget, noise_seed=2)
     order = tuple(int(i) for i in rng.permutation(model.n_layers))
     sv, rep = simulate_postselected(*_flat_reference(full, budget, 2, order))
     _assert_same_run(np.kron(np.ones(2) / math.sqrt(2), model.state()),
@@ -686,7 +672,8 @@ def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
     # split; a noisy, pruned run against the flat circuit in that order
     n = _LOW_BITS + extra
     budget = ErrorBudget.two_to_one(1e-3)
-    full = layered_full_gaussian(n, 1 - 1e-8)
+    table = CoreTable(n, 1 - 1e-8)
+    full = table.layered
     lay, info = prune_layered(full, budget)
     assert info.removed_b_gates > 0 and info.replaced_a_gates > 0
     high = [g for layer in lay.layers for g in layer.gates
@@ -698,7 +685,7 @@ def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
                       np.random.default_rng(n).permutation(len(order)))
     _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
     np.testing.assert_allclose(
-        _probe(full, budget, noise_seed=n).probs(order), rep.layer_probs,
+        _probe(table, budget, noise_seed=n).probs(order), rep.layer_probs,
         rtol=0, atol=1e-12)
 
 
@@ -708,14 +695,14 @@ def test_layer_probs_of_a_layer_among_the_high_bits(extra):
     # of their own, whose probability changes only the high columns, a;
     # a noisy, pruned run in a random order against the flat circuit
     n = _LOW_BITS + extra
-    full = layered_full_gaussian(n, 1 - 1e-8)
-    layers = []
-    for layer in full.layers:
+    rounds = []
+    for pairs in pack_layers(n - 1):
         parts = ([], [])
-        for g in layer.gates:
-            parts[min(c.qubit for c in g.controls) >= _LOW_BITS].append(g)
-        layers += [Layer(tuple(p)) for p in parts if p]
-    full = full.with_layers(tuple(layers))
+        for j, k in pairs:
+            parts[j >= _LOW_BITS].append((j, k))
+        rounds += [p for p in parts if p]
+    table = CoreTable(n, 1 - 1e-8, rounds)
+    full = table.layered
     budget = ErrorBudget.two_to_one(1e-3)
     lay, _ = prune_layered(full, budget)
     assert any(min(c.qubit for g in layer.gates for c in g.controls)
@@ -724,7 +711,7 @@ def test_layer_probs_of_a_layer_among_the_high_bits(extra):
                   np.random.default_rng(n).permutation(len(lay.layers)))
     _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
     np.testing.assert_allclose(
-        _probe(full, budget, noise_seed=n).probs(order), rep.layer_probs,
+        _probe(table, budget, noise_seed=n).probs(order), rep.layer_probs,
         rtol=0, atol=1e-12)
 
 
@@ -752,10 +739,11 @@ def test_monte_carlo_matches_formula_on_circuit():
     from gausskit.optimizer import expected_t_depth
     from gausskit.resources import layered_t_depth
 
-    lay = layered_full_gaussian(6, 0.9)
+    table = CoreTable(6, 0.9)
+    lay = table.layered
     budget = ErrorBudget.two_to_one(1e-4)
     n0, nks = layered_t_depth(lay, budget)
-    ps = _probe(lay).probs(range(len(lay.layers)))
+    ps = _probe(table).probs(range(len(lay.layers)))
     stats = simulate_rus_process(n0, nks, ps, 100000, seed=0)
     et = expected_t_depth(n0, list(zip(nks, ps)))
     assert abs(stats.mean - et) <= 3 * stats.stderr
