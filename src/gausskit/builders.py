@@ -162,16 +162,20 @@ def layered_full_gaussian(n: int, alpha: float,
 
 def _normalize_quadratic_form(q) -> tuple[int, int, int]:
     """Accept (cxx, cxy, cyy) or a symmetric 2x2 matrix [[cxx, b],[b, cyy]]
-    meaning cxx*x**2 + 2b*xy + cyy*y**2."""
+    meaning cxx*x**2 + 2b*xy + cyy*y**2; the three coefficients must be
+    integers."""
     arr = np.asarray(q)
-    if arr.shape == (3,):
-        cxx, cxy, cyy = (int(v) for v in arr)
-    elif arr.shape == (2, 2):
+    if arr.shape == (2, 2):
         if arr[0, 1] != arr[1, 0]:
             raise ParameterError("quadratic form matrix must be symmetric")
-        cxx, cxy, cyy = int(arr[0, 0]), int(arr[0, 1] + arr[1, 0]), int(arr[1, 1])
-    else:
+        arr = np.array([arr[0, 0], arr[0, 1] + arr[1, 0], arr[1, 1]])
+    elif arr.shape != (3,):
         raise ParameterError("quadratic form must be a triple or a 2x2 matrix")
+    coeffs = arr.tolist()
+    if not all(float(c).is_integer() for c in coeffs):
+        raise ParameterError(
+            f"quadratic form coefficients must be integers, got {coeffs}")
+    cxx, cxy, cyy = (int(c) for c in coeffs)
     if cxx <= 0 or cyy <= 0:
         raise ParameterError("quadratic form needs positive x**2 and y**2 terms")
     if cxy < 0:

@@ -16,6 +16,7 @@ such as ``log2(2**k + 4**k)``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -205,6 +206,11 @@ class GaussianSpec:
     derived_alpha: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "n_qubits", operator.index(self.n_qubits))
+        except TypeError:
+            raise ParameterError(
+                f"n_qubits must be an integer, got {self.n_qubits!r}") from None
         if self.n_qubits < 2:
             raise ParameterError("n_qubits must be at least 2")
         if not (0.0 < self.gate_error < 1.0):

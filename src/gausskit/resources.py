@@ -67,30 +67,19 @@ def layered_t_depth(layered: LayeredCircuit, budget: ErrorBudget
 def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:
     """T-depth of a flat circuit: rotations pack greedily into parallel
     stages of disjoint qubits; Cliffords are transparent; each stage costs
-    its most expensive gate."""
-    total = 0.0
-    stage_cost = 0.0
+    its most expensive gate; a barrier closes the stage."""
+    total = stage_cost = 0.0
     stage_qubits: set[int] = set()
-
-    def flush() -> None:
-        nonlocal total, stage_cost, stage_qubits
-        total += stage_cost
-        stage_cost = 0.0
-        stage_qubits = set()
-
     for elem in circuit.elements:
-        if isinstance(elem, MeasureBarrier):
-            flush()
+        barrier = isinstance(elem, MeasureBarrier)
+        if not barrier and elem.kind in CLIFFORD_KINDS:
             continue
-        if elem.kind in CLIFFORD_KINDS:
-            continue
-        depth = _gate_t_depth(elem, budget)
-        if stage_qubits & set(elem.qubits):
-            flush()
-        stage_cost = max(stage_cost, depth)
-        stage_qubits |= set(elem.qubits)
-    flush()
-    return total
+        if barrier or stage_qubits & set(elem.qubits):
+            total, stage_cost, stage_qubits = total + stage_cost, 0.0, set()
+        if not barrier:
+            stage_cost = max(stage_cost, _gate_t_depth(elem, budget))
+            stage_qubits |= set(elem.qubits)
+    return total + stage_cost
 
 
 @dataclass(frozen=True)
@@ -157,6 +146,9 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     """
     if order not in ("optimal", "identity", "random"):
         raise ParameterError(f"unknown ordering scheme {order!r}")
+    if target_error is not None and not 0.0 < target_error < math.inf:
+        raise ParameterError(
+            f"target_error must be finite and positive, got {target_error}")
     alpha = spec.derived_alpha
     table = simulator.CoreTable(spec.n_qubits, alpha)
     if target_error is None:

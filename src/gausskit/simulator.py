@@ -705,8 +705,14 @@ def simulate_rus_process(n0: float, nks, ps, trials: int,
                          seed: int | None = 0) -> RusStats:
     ps = np.asarray(ps, dtype=float)
     nks = np.asarray(nks, dtype=float)
-    if np.any(ps <= 0.0):
-        raise ParameterError("a zero-probability layer never succeeds")
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
+    if len(nks) != len(ps):
+        raise ParameterError(
+            f"{len(nks)} layer costs for {len(ps)} layer probabilities")
+    if not np.all((0.0 < ps) & (ps <= 1.0)):
+        raise ParameterError("layer probabilities must lie in (0, 1]: a "
+                             "zero-probability layer never succeeds")
     rng = np.random.default_rng(seed)
     n_layers = len(ps)
     if n_layers == 0:

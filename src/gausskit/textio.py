@@ -14,8 +14,10 @@ Header, then one element per line::
 ``!`` marks an open control.  Gate lines use absolute qubit indices
 (ancilla start at ``data``); MEASURE lines use ancilla-relative indices.
 Blank lines and ``#`` lines are skipped.  Field order is fixed, so
-export -> import -> export is byte-identical.  ``load`` also validates the
-circuit, naming the line of the first offending element.
+export -> import -> export is byte-identical: numbers are read in ASCII
+digits only, with no ``_`` separators and no leading ``+``, which would
+not survive the round trip.  ``load`` also validates the circuit, naming
+the line of the first offending element.
 """
 from __future__ import annotations
 
@@ -31,8 +33,17 @@ class CircuitParseError(ValueError):
         self.line_no = line_no
 
 
-_CONTROL_RE = re.compile(r"^c(\d+)(!?)$")
-_TARGET_RE = re.compile(r"^q(\d+)$")
+_CONTROL_RE = re.compile(r"^c(\d+)(!?)$", re.ASCII)
+_TARGET_RE = re.compile(r"^q(\d+)$", re.ASCII)
+_ANCILLA_RE = re.compile(r"^a(\d+)$", re.ASCII)
+
+
+def _number(token: str, convert):
+    """``convert(token)`` for a number as ``dumps`` writes it: Python's
+    ``_`` separators, leading ``+`` and non-ASCII digits are refused."""
+    if not token.isascii() or "_" in token or token.startswith("+"):
+        raise ValueError(f"bad number {token!r}")
+    return convert(token)
 
 
 def dumps(circuit: Circuit) -> str:
@@ -49,18 +60,21 @@ def dumps(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_control(token: str, line_no: int) -> Control:
-    m = _CONTROL_RE.match(token)
+def _match(pattern: re.Pattern, token: str, what: str,
+           line_no: int) -> re.Match:
+    m = pattern.match(token)
     if not m:
-        raise CircuitParseError(line_no, f"bad control token {token!r}")
+        raise CircuitParseError(line_no, f"bad {what} token {token!r}")
+    return m
+
+
+def _parse_control(token: str, line_no: int) -> Control:
+    m = _match(_CONTROL_RE, token, "control", line_no)
     return Control(qubit=int(m.group(1)), closed=m.group(2) != "!")
 
 
 def _parse_target(token: str, line_no: int) -> int:
-    m = _TARGET_RE.match(token)
-    if not m:
-        raise CircuitParseError(line_no, f"bad target token {token!r}")
-    return int(m.group(1))
+    return int(_match(_TARGET_RE, token, "target", line_no).group(1))
 
 
 def loads(text: str) -> Circuit:
@@ -80,9 +94,9 @@ def _parse(text: str) -> tuple[Circuit, list[int]]:
         key, _, value = token.partition("=")
         fields[key] = value
     try:
-        data = int(fields["data"])
-        anc = int(fields["ancilla"])
-        alpha = float(fields["alpha"])
+        data = _number(fields["data"], int)
+        anc = _number(fields["ancilla"], int)
+        alpha = _number(fields["alpha"], float)
     except (KeyError, ValueError) as exc:
         raise CircuitParseError(1, f"bad header field: {exc}") from exc
     if data < 1 or anc < 0:
@@ -104,17 +118,14 @@ def _parse(text: str) -> tuple[Circuit, list[int]]:
             if op == "MEASURE":
                 if len(tokens) != 2:
                     raise CircuitParseError(line_no, "MEASURE takes one index list")
-                idx = []
-                for part in tokens[1].split(","):
-                    if not part.startswith("a"):
-                        raise CircuitParseError(
-                            line_no, f"bad ancilla token {part!r}")
-                    idx.append(data + int(part[1:]))
-                elements.append(MeasureBarrier(tuple(idx)))
+                elements.append(MeasureBarrier(tuple(
+                    data + int(_match(_ANCILLA_RE, part, "ancilla",
+                                      line_no).group(1))
+                    for part in tokens[1].split(","))))
             elif op in ("A", "B", "Z"):
                 if len(tokens) < 3:
                     raise CircuitParseError(line_no, f"{op} needs exponent and target")
-                exponent = float(tokens[1])
+                exponent = _number(tokens[1], float)
                 target = _parse_target(tokens[2], line_no)
                 controls = tuple(_parse_control(t, line_no) for t in tokens[3:])
                 elements.append(

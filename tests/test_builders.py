@@ -227,6 +227,12 @@ def test_gaussian_2d_rejects_bad_forms():
         build_gaussian_2d(2, 2, (0, 1, 1), 0.9)
     with pytest.raises(ParameterError):
         build_gaussian_2d(2, 2, (1, -1, 1), 0.9)
+    # a coefficient that is not an integer is refused, not truncated
+    for q in [(1.5, 0, 1), (1, 0.4, 1), (1, 0, np.inf),
+              np.array([[1.7, 0.2], [0.2, 1]]),
+              np.array([[1, 0.2], [0.2, 1]])]:
+        with pytest.raises(ParameterError, match="must be integers"):
+            build_gaussian_2d(2, 2, q, 0.9)
 
 
 def test_gaussian_2d_matrix_form():
@@ -234,6 +240,9 @@ def test_gaussian_2d_matrix_form():
     c_mat = build_gaussian_2d(2, 2, np.array([[1, 1], [1, 1]]), 0.9)
     c_tup = build_gaussian_2d(2, 2, (1, 2, 1), 0.9)
     assert c_mat == c_tup
+    # the cross coefficient is 2b, an integer for a half-integer b
+    assert build_gaussian_2d(2, 2, np.array([[1, 0.5], [0.5, 1]]), 0.9) == (
+        build_gaussian_2d(2, 2, (1, 1, 1), 0.9))
 
 
 def test_every_window_gate_is_measured_immediately():

@@ -99,11 +99,26 @@ def test_simulate_parse_error_exit_3(runner, tmp_path):
     ("QUBITS data=2 ancilla=-1 alpha=0.5\nH q0\n", 1),
     # an empty data register
     ("QUBITS data=0 ancilla=0 alpha=0.5\n", 1),
+    # numbers dumps would rewrite: digit separators, a leading +,
+    # non-ASCII digits
+    ("QUBITS data=2 ancilla=1 alpha=0.5\nH q0\nB 1_0 q2 c0 c1\nMEASURE a0\n",
+     3),
+    ("QUBITS data=2 ancilla=1 alpha=0.5\nB +1 q2 c0 c1\nMEASURE a0\n", 2),
+    ("QUBITS data=2 ancilla=1 alpha=0.5\nB 1 q2 c0 c1\nMEASURE a+0\n", 3),
+    ("QUBITS data=2 ancilla=0 alpha=0.5\n\nH q\u0661\n", 3),
+    ("QUBITS data=2 ancilla=1 alpha=0.5\nB \u0661 q2 c0 c1\nMEASURE a0\n",
+     2),
+    ("QUBITS data=\u0662 ancilla=0 alpha=0.5\nH q0\n", 1),
+    ("QUBITS data=2 ancilla=+0 alpha=0.5\nH q0\n", 1),
+    ("QUBITS data=1_0 ancilla=0 alpha=0.5\nH q0\n", 1),
 ], ids=["unmeasured-ancilla", "alpha-range", "qubit-range", "negative-data",
-        "negative-ancilla", "empty-data"])
+        "negative-ancilla", "empty-data", "exponent-separator",
+        "exponent-plus", "measure-plus", "target-arabic-digit",
+        "exponent-arabic-digit", "data-arabic-digit", "ancilla-plus",
+        "data-separator"])
 def test_simulate_invalid_file_exit_3(runner, tmp_path, text, line):
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     result = runner.invoke(main, ["simulate", str(bad)])
     assert result.exit_code == 3
     assert f"line {line}:" in result.output

@@ -171,3 +171,15 @@ def test_gaussian_spec_validation():
     with pytest.raises(ParameterError):
         GaussianSpec(n_qubits=4, alpha=0.5, beta=0.1)  # both alpha and beta
 
+
+@pytest.mark.parametrize("n_qubits", [4.5, 8.0, "8", None])
+def test_gaussian_spec_rejects_non_integer_qubit_count(n_qubits):
+    with pytest.raises(ParameterError, match="n_qubits must be an integer"):
+        GaussianSpec(n_qubits=n_qubits, alpha=0.9)
+
+
+def test_gaussian_spec_takes_numpy_integer_qubit_count():
+    spec = GaussianSpec(n_qubits=np.int64(8), alpha=0.9)
+    assert spec == GaussianSpec(n_qubits=8, alpha=0.9)
+    assert type(spec.n_qubits) is int
+

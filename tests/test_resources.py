@@ -202,6 +202,13 @@ def test_noiseless_run_is_the_zero_budget_probe(n):
         simulator.ideal_gaussian(n, alpha), sv.amplitudes), rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, 0.0, -1e-5])
+def test_estimate_rejects_target_outside_positive_reals(target):
+    spec = GaussianSpec(n_qubits=8, alpha=0.99)
+    with pytest.raises(ParameterError, match="target_error must be finite"):
+        estimate(spec, target_error=target, seed=2)
+
+
 def test_estimate_target_error_search():
     spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-3)
     rep = estimate(spec, target_error=1e-5, seed=2)

@@ -762,3 +762,15 @@ def test_monte_carlo_ordering_paired_comparison():
 def test_rus_rejects_zero_probability():
     with pytest.raises(ParameterError):
         simulate_rus_process(1.0, [1.0], [0.0], 10, seed=0)
+
+
+@pytest.mark.parametrize("nks, ps, trials", [
+    ([1.0], [math.nan], 10),
+    ([1.0], [1.5], 10),
+    ([1.0, 2.0], [0.5], 10),  # a layer cost with no probability
+    ([1.0], [0.5, 0.5], 10),  # a layer probability with no cost
+    ([1.0], [0.5], 0),
+], ids=["nan-p", "p-above-1", "more-costs", "more-probs", "no-trials"])
+def test_rus_rejects_bad_inputs(nks, ps, trials):
+    with pytest.raises(ParameterError):
+        simulate_rus_process(1.0, nks, ps, trials, seed=0)
