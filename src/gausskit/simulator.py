@@ -514,18 +514,16 @@ class CoreTable:
             [i for i, layer in enumerate(layered.layers) for _ in layer.gates],
             dtype=np.intp)
         self.pairs = np.array([sorted(c.qubit for c in g.controls)
-                               for g in windows], dtype=np.intp).reshape(-1, 2)
-        self.kernels = np.array(
-            [rotation_kernel(g.kind, g.exponent, alpha) for g in prelude]
-        ).reshape(-1, 2, 2)
+                               for g in windows], dtype=np.intp)
+        self.kernels = np.array([rotation_kernel(g.kind, g.exponent, alpha)
+                                 for g in prelude])
         self.columns = np.array(
-            [rotation_kernel(g.kind, g.exponent, alpha)[:, 0]
-             for g in windows]).reshape(-1, 2)
+            [rotation_kernel(g.kind, g.exponent, alpha)[:, 0] for g in windows])
         self.distance = np.array([prune_distance(g, alpha)
                                   for g in self.gates])
         self.rotation, self.controlled = np.array(
             [(g.kind in ROTATION_KINDS, bool(g.controls)) for g in self.gates],
-            dtype=bool).reshape(-1, 2).T
+            dtype=bool).T
         self.ideal = ideal_core_half_shifted(core, alpha)
 
     def kept(self, budget: ErrorBudget) -> np.ndarray:

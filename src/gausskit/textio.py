@@ -39,8 +39,7 @@ _ANCILLA_RE = re.compile(r"^a(\d+)$", re.ASCII)
 
 
 def _number(token: str, convert):
-    """``convert(token)`` for a number as ``dumps`` writes it: Python's
-    ``_`` separators, leading ``+`` and non-ASCII digits are refused."""
+    # dumps writes no non-ASCII digit, "_" separator or leading "+"
     if not token.isascii() or "_" in token or token.startswith("+"):
         raise ValueError(f"bad number {token!r}")
     return convert(token)
