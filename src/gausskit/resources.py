@@ -146,6 +146,8 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     """
     if order not in ("optimal", "identity", "random"):
         raise ParameterError(f"unknown ordering scheme {order!r}")
+    if alloc not in _ALLOCS:
+        raise ParameterError(f"unknown allocation scheme {alloc!r}")
     if target_error is not None and not 0.0 < target_error < math.inf:
         raise ParameterError(
             f"target_error must be finite and positive, got {target_error}")
@@ -194,24 +196,24 @@ def noiseless_run(n_qubits: int, alpha: float
     return simulator.SimReport(tuple(probs.tolist())), run.eps
 
 
+_ALLOCS = {"2to1": ErrorBudget.two_to_one, "uniform": ErrorBudget.uniform}
+
+
 def _budget(delta: float, alloc: str) -> ErrorBudget:
-    if alloc == "2to1":
-        return ErrorBudget.two_to_one(delta)
-    if alloc == "uniform":
-        return ErrorBudget.uniform(delta)
-    raise ParameterError(f"unknown allocation scheme {alloc!r}")
+    if alloc not in _ALLOCS:
+        raise ParameterError(f"unknown allocation scheme {alloc!r}")
+    return _ALLOCS[alloc](delta)
 
 
 def _packed_run(table: simulator.CoreTable, delta: float, seed: int,
                 alloc: str) -> _PackedRun:
-    """The probe of ``table`` at gate budget ``delta``; its core state is
-    dropped on return, before the next candidate builds its own."""
+    """The probe of ``table`` at gate budget ``delta``: its model and the
+    error of its state, taken chunk by chunk with no core state built."""
     budget = _budget(delta, alloc)
     kept = table.kept(budget)
     noise = table.draw_noise(budget, kept, np.random.default_rng(seed))
     model = simulator.GaussianLayerModel(table, kept, noise)
-    eps = simulator.l2_error(table.ideal, model.state())
-    return _PackedRun(budget, model, eps)
+    return _PackedRun(budget, model, model.error())
 
 
 def _search_delta(table: simulator.CoreTable, target_error: float,

@@ -353,14 +353,21 @@ def simulate_postselected(circuit: Circuit,
 
 
 _CHUNK = 1 << 15  # l2_error's buffer: 512 KB of complex differences
-_LOW_BITS = 12  # probs() stores the column factors on these low bits
+_LOW_BITS = 12  # a product form's chunks span these low bits
 
 
 def check_spec_capacity(core: int) -> None:
-    """Refuse a spec run on ``core`` bits before it allocates: its peak is
-    the core state, the float64 ideal (half a state) and ``l2_error``'s
-    chunk (traced: 2.63, 1.65 and 1.52 states at core 15, 18 and 21)."""
-    _check_capacity(core, copies=1.5 + min(_CHUNK, 1 << core) / (1 << core))
+    """Refuse a spec run on ``core`` bits before it allocates.  No array of
+    the run has 2**core entries.  With b, h and h2 from ``_split``, the
+    table holds its real ideal form (``_ProductForm``) and the complex
+    ``_Scratch`` its probes refill; on top of these come either a probe's
+    doubling triangle (b * 2**(b-1) complex entries), sum arguments and
+    chunk buffers, or the real arrays of ``probs``."""
+    b, h, h2 = _split(core)
+    form = (h + 1 << b) + (1 << h)
+    sums = ((1 << h - h2) + (1 << h2) << b) + (1 << h)
+    floats = form + 2 * (form + (h << b) + sums) + (b + h + 7 << b) + (16 << h)
+    _check_capacity(core, copies=floats / (2 << core))
 
 
 def l2_error(a, b) -> float:
@@ -481,6 +488,171 @@ def _identities(count: int) -> np.ndarray:
     return np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2)).copy()
 
 
+def _dot(x: np.ndarray, y: np.ndarray):
+    """x @ y in slices of at most 8192 floats: OpenBLAS runs a dot below
+    10000 elements on one thread, so the sum is the same under any thread
+    count."""
+    step = 65536 // max(x.itemsize, y.itemsize)
+    return sum(np.dot(x[i:i + step], y[i:i + step])
+               for i in range(0, len(x), step))
+
+
+def _doublings(*pairs):
+    """The (lower, column, upper) triple of each doubling, in the order
+    they run, that refills each ``rows`` of the (rows, columns) ``pairs``
+    from its first entry: rows[2**t:2**(t+1)] = rows[:2**t] * columns[t]."""
+    return [(rows[:1 << t], col, rows[1 << t:2 << t])
+            for rows, cols in pairs for t, col in enumerate(cols)]
+
+
+def _refill_sum(levels, p1, p2, a, prod):
+    """sum_{r1, r2} a[r1 * len(p2) + r2] * (p1 @ p2.T)[r1, r2] once the
+    doublings ``levels`` have refilled p1, p2 and a: one level-3 BLAS call,
+    whose threads split its rows and columns, never the sum along them."""
+    for lower, part, upper in levels:
+        np.multiply(lower, part, out=upper)
+    np.dot(p1, p2.T, out=prod)
+    return _dot(prod.reshape(-1), a)
+
+
+def _doubled(first, rows, out: np.ndarray) -> np.ndarray:
+    """Fill the (m, 2**d) ``out`` so that its column x is first *
+    prod_j rows[j]**x_j, for the m-vector ``first`` and the d rows of m
+    factors ``rows``: the outer product of the columns on the low d // 2
+    bits and on the rest, each doubled in a small array of its own (a
+    doubling inside ``out`` reads and writes interleaved rows of one
+    array, which numpy copies)."""
+    def doubled(start, factors):
+        cols = np.empty((len(start), 1 << len(factors)), out.dtype)
+        cols[:, 0] = start
+        for j, row in enumerate(factors):
+            np.multiply(cols[:, :1 << j], row[:, None],
+                        out=cols[:, 1 << j:2 << j])
+        return cols
+
+    if not out.size:
+        return out
+    half = len(rows) // 2
+    low = doubled(first, rows[:half])
+    high = doubled(np.ones(len(first)), rows[half:])
+    np.multiply(high[:, :, None], low[:, None, :],
+                out=out.reshape(len(out), high.shape[1], low.shape[1]))
+    return out
+
+
+def _filled(rho, pair, out: np.ndarray) -> np.ndarray:
+    """Fill the 2**d ``out`` with prod_t rho[t]**x_t * prod_{j<t}
+    pair[j, t]**(x_j*x_t) over d bits: each upper half 2**t..2**(t+1) - 1
+    is the lower half times the column rho[t] * prod_{j<t} pair[j, t]**x_j.
+    Row t of ``cols`` holds that column, doubled only as far as bit t
+    needs, so of its d * 2**(d-1) entries it touches 2**d."""
+    d = len(rho)
+    cols = np.empty((d, 1 << max(d - 1, 0)), out.dtype)
+    cols[:, 0] = rho
+    for j in range(d - 1):
+        np.multiply(cols[j + 1:, :1 << j], pair[j, j + 1:, None],
+                    out=cols[j + 1:, 1 << j:2 << j])
+    out[0] = 1.0
+    for t, col in enumerate(cols):
+        np.multiply(out[:1 << t], col[:1 << t], out=out[1 << t:2 << t])
+    return out
+
+
+def _split(core: int) -> tuple[int, int, int]:
+    """(b, h, h2): the low bits a chunk spans, the high bits above them,
+    and the low h // 2 of those, H2, whose columns make ``total``'s p2."""
+    b = min(core, _LOW_BITS)
+    return b, core - b, (core - b) // 2
+
+
+class _ProductForm:
+    """The 2**core values prod_q rho[q]**x_q * prod_{j<k} pair[j, k]**(x_j*x_k)
+    over the core bits x, for ``pair`` 1 on and below its diagonal, in
+    chunks of the low b bits (``_split``).  The chunk of the high bits r is
+    ``fill``, the form on the low bits alone, times ``cols[k]`` for each
+    high bit k set in r (rho of b + k times the pair factors of b + k with
+    the low bits), times ``scalars[r]`` (the pair factors within r).  No
+    array has more than h * 2**b or 2**h entries.  The arrays are
+    allocated once; ``set`` refills them."""
+
+    def __init__(self, core: int, dtype):
+        b, h, _ = _split(core)
+        self.fill = np.empty(1 << b, dtype)
+        self.cols = np.empty((h, 1 << b), dtype)
+        self.scalars = np.empty(1 << h, dtype)
+
+    def set(self, rho: np.ndarray, pair: np.ndarray) -> _ProductForm:
+        b = self.fill.size.bit_length() - 1
+        _filled(rho[:b], pair[:b, :b], self.fill)
+        _doubled(rho[b:], pair[:b, b:], self.cols)
+        _filled(np.ones(len(self.cols)), pair[b:, b:], self.scalars)
+        return self
+
+    @property
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.fill, self.cols, self.scalars
+
+    def chunks(self, stack: np.ndarray):
+        """Each chunk without its scalar, fill * prod_{k in r} cols[k], for
+        r = 0, 1, ...  Its parent r & (r - 1) is the latest chunk one
+        popcount below r, so one multiply by the column of r's lowest set
+        bit gives it, and the fill and the h rows of ``stack``, one per
+        popcount, hold every parent still to be read.  A chunk is valid
+        until the next one."""
+        levels = [self.fill, *stack[:len(self.cols)]]
+        yield self.fill
+        for r in range(1, len(self.scalars)):
+            p = r.bit_count()
+            np.multiply(levels[p - 1], self.cols[(r & -r).bit_length() - 1],
+                        out=levels[p])
+            yield levels[p]
+
+
+def _as(buf: np.ndarray, dtype, rows: int | None = None) -> np.ndarray:
+    """``rows`` rows (default: as many as ``buf`` has) of ``buf``'s width,
+    in ``dtype`` over ``buf``'s memory, from its start."""
+    flat = buf.reshape(-1).view(dtype)
+    rows = len(buf) if rows is None else rows
+    return flat[:rows * buf.shape[-1]].reshape(rows, *buf.shape[1:])
+
+
+class _Scratch:
+    """The arrays a probe's ``error`` fills on ``core`` bits, allocated once
+    per table: fresh on every probe, arrays this large fault in new pages
+    each time (432 faults a probe at n = 19).  ``form`` is the probe's
+    complex product form, ``cols`` the columns of a form being summed, and
+    p1, p2 and ``prod`` the buffers of ``total``; once the sums are taken,
+    p1 and p2 hold the chunk walks' complex and real stacks."""
+
+    def __init__(self, core: int):
+        b, h, h2 = _split(core)
+        self.form = _ProductForm(core, complex)
+        self.cols = np.empty((h, 1 << b), complex)
+        self.p1 = np.empty((1 << h - h2, 1 << b), complex)
+        self.p2 = np.empty((1 << h2, 1 << b), complex)
+        self.prod = np.empty((len(self.p1), len(self.p2)), complex)
+
+    def total(self, fill, cols, scalars):
+        """The sum of the entries of the product form (fill, cols,
+        scalars), real or complex, ``cols`` possibly in ``self.cols``.
+        With no high bit it is the fill's sum.  Otherwise, with the high
+        bits split into H2 and H1 above it, it is
+
+            sum_{r1, r2} scalars[r1, r2] * (p1 @ p2.T)[r1, r2],
+
+        where row r1 of p1 is the fill times the columns of the H1 bits set
+        in r1, and row r2 of p2 the product of the columns of the H2 bits
+        set in r2."""
+        h = len(cols)
+        if not h:
+            return fill.sum() * scalars[0]
+        p1, p2, prod = (_as(v, cols.dtype) for v in (self.p1, self.p2,
+                                                     self.prod))
+        p1[0], p2[0] = fill, 1.0
+        return _refill_sum(_doublings((p1, cols[h // 2:]), (p2, cols[:h // 2])),
+                           p1, p2, scalars, prod)
+
+
 class CoreTable:
     """The core register of the layered Gaussian of (n_qubits, alpha) as
     arrays, and its ideal state.
@@ -524,7 +696,26 @@ class CoreTable:
         self.rotation, self.controlled = np.array(
             [(g.kind in ROTATION_KINDS, bool(g.controls)) for g in self.gates],
             dtype=bool).T
-        self.ideal = ideal_core_half_shifted(core, alpha)
+        self.scratch = _Scratch(core)
+        # alpha**(y*y + y), the ideal over alpha**(1/4), at y = l + 2**b * r
+        # for the low bits l and high bits r: fill alpha**(l*l + l), column
+        # k alpha**(4**k + 2**k + 2**(k+1) * l) and scalar
+        # alpha**((2**b * r)**2 - sum_{k in r} 4**k), each one exp of an
+        # exact integer exponent
+        self.ideal = ideal = _ProductForm(core, float)
+        low = np.arange(len(ideal.fill))
+        high = np.arange(len(ideal.fill).bit_length() - 1, core)
+        r = np.arange(len(ideal.scalars))
+        top = r * len(ideal.fill)
+        log_alpha = math.log(alpha)
+        np.exp(log_alpha * (low * low + low), out=ideal.fill)
+        np.exp(log_alpha * ((4 ** high + 2 ** high)[:, None]
+                            + 2 ** (high + 1)[:, None] * low), out=ideal.cols)
+        np.exp(log_alpha * (top * top - (r[:, None] >> np.arange(len(high)) & 1)
+                            @ 4 ** high), out=ideal.scalars)
+        ideal.scalars /= math.sqrt(self.scratch.total(
+            ideal.fill ** 2, np.square(ideal.cols, out=_as(
+                self.scratch.cols, float)), ideal.scalars ** 2))
 
     def kept(self, budget: ErrorBudget) -> np.ndarray:
         """The rows pruning at ``budget`` keeps: a prelude row it does not
@@ -575,9 +766,11 @@ class GaussianLayerModel:
 
     def __init__(self, table: CoreTable, kept, noise):
         self.core = core = table.core
+        self.ideal, self._scratch = table.ideal, table.scratch
         # a_q: the prelude gate of qubit q, or XH where pruned, on |0>
         mats = np.where(kept[:core, None, None], table.kernels, XH_MATRIX)
         self.qubits = (noise[:core] @ mats)[:, :, 0]
+        self.rho = self.qubits[:, 1] / self.qubits[:, 0]
         rows = np.flatnonzero(kept[core:])
         pert, column = noise[core:][rows], table.columns[rows]
         f_rest = pert[:, 0, 0]
@@ -598,22 +791,62 @@ class GaussianLayerModel:
         """The layers left with a window, which ``probs`` orders."""
         return len(self._rests)
 
-    def state(self) -> np.ndarray:
-        """The normalized core state after all layers, in any order.
+    def error(self) -> float:
+        """``l2_error(ideal, state())``, the distance of the normalized state
+        from the table's ideal after aligning global phase, with no 2**core
+        array.
 
-        Each column a_k(1) * prod_{j<k} R[j, k]**x_j is doubled in place in
-        the upper half it scales, so the state is the only buffer."""
-        _check_capacity(self.core, copies=1.0)  # tracemalloc peak: 1.00
-        vec = np.empty(1 << self.core, dtype=complex)
-        vec[0] = 1.0
-        for k, (amp0, amp1) in enumerate(self.qubits):
-            upper = vec[1 << k:2 << k]
-            upper[0] = amp1
-            for j, ratio in enumerate(self.ratios[:k, k]):
-                np.multiply(upper[:1 << j], ratio, out=upper[1 << j:2 << j])
-            upper *= vec[:1 << k]
-            vec[:1 << k] *= amp0
-        _post_select(vec, self.scale)
+        The state divided by prod_q a_q(0) is the product form of the
+        ratios a_q(1)/a_q(0) and R, on the bits the ideal's form uses.
+        The norm and the overlap, whose phase aligns the state, are sums
+        of products of the two forms' factors, one ``_Scratch.total``
+        each; an error d in either moves the squared error by about
+        d * eps**2.  The difference is then taken elementwise, chunk by
+        chunk, as the 2 - 2|<a|b>| form would lose the answer: the
+        multiply that scales each state chunk by its scalar also applies
+        the norm and the phase.  No reduction sums more than 8192 floats,
+        so none depends on the BLAS thread count.
+        """
+        scratch, ideal = self._scratch, self.ideal
+        psi = scratch.form.set(self.rho, self.ratios)
+        weights = np.abs(psi.cols, out=_as(scratch.cols, float))
+        norm = math.sqrt(scratch.total(
+            np.abs(psi.fill) ** 2, np.square(weights, out=weights),
+            np.abs(psi.scalars) ** 2))
+        overlap = complex(scratch.total(
+            ideal.fill * psi.fill,
+            np.multiply(ideal.cols, psi.cols, out=scratch.cols),
+            ideal.scalars * psi.scalars))
+        phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
+        diff = np.empty(psi.fill.size, dtype=complex)
+        flat, part = diff.view(np.float64), np.empty(psi.fill.size)
+        sq = 0.0
+        for chunk, target, scale, ideal_scale in zip(
+                psi.chunks(scratch.p1),
+                ideal.chunks(_as(scratch.p2, float, len(psi.cols))),
+                (psi.scalars * (phase / norm)).tolist(),
+                ideal.scalars.tolist()):
+            np.multiply(chunk, scale, out=diff)
+            np.multiply(target, ideal_scale, out=part)
+            diff.real -= part
+            sq += float(flat @ flat)
+        return math.sqrt(sq)
+
+    def state(self) -> np.ndarray:
+        """The normalized core state after all layers, in any order: the
+        chunks ``error`` walks, each times its scalar, concatenated."""
+        b, h, _ = _split(self.core)
+        # the state, or the doubling triangles of the fill and the scalars
+        # (``_filled``), which are freed before it exists
+        _check_capacity(self.core, copies=max(1.0, (
+            (b << b >> 1) + (h << max(h - 1, 0))) / (1 << self.core)))
+        psi = self._scratch.form.set(self.rho, self.ratios)
+        vec = np.empty((len(psi.scalars), psi.fill.size), dtype=complex)
+        for row, chunk, scale in zip(vec, psi.chunks(self._scratch.p1),
+                                     psi.scalars.tolist()):
+            np.multiply(chunk, scale, out=row)
+        vec = vec.reshape(-1)
+        _post_select(vec, self.scale * np.prod(self.qubits[:, 0]))
         return vec
 
     def probs(self, order) -> np.ndarray:
@@ -641,27 +874,22 @@ class GaussianLayerModel:
         after and before, times its |f_rest|**2; the first sum is
         prod(1 + c_k).
         """
-        b = min(self.core, _LOW_BITS)
-        h = self.core - b
-        h2 = h // 2
-        p1 = np.empty((1 << h - h2, 1 << b))
-        p2 = np.empty((1 << h2, 1 << b))
-        a, prod = np.empty(1 << h), np.empty((len(p1), len(p2)))
-        # p1, p2, a, their product, the stored and high columns and ``out``:
-        # at or above the tracemalloc peak at core 8, 15, 18 and 21
+        b, h, h2 = _split(self.core)
+        # p1, p2 and their product are the real views of the table's
+        # scratch; a, the stored and high columns and ``out``: at or above
+        # the tracemalloc peak at core 8, 15, 18 and 21
         _check_capacity(self.core, copies=(
-            p1.size + p2.size + 3 * a.size + len(order)
+            2 * (1 << h) + len(order)
             + sum(1 << min(k, b) for k in range(self.core))) / (2 << self.core))
-        ratios = (np.abs(self.qubits[:, 1] / self.qubits[:, 0]) ** 2).tolist()
+        p1, p2, prod = (_as(v, float) for v in (
+            self._scratch.p1, self._scratch.p2, self._scratch.prod))
+        a = np.empty(1 << h)
+        ratios = (np.abs(self.rho) ** 2).tolist()
         stored = [np.full(1 << min(k, b), c) for k, c in enumerate(ratios)]
         high = [np.ones(1 << t) for t in range(h)]  # R2[b:k, k] for k = b + t
         p1[0, 0] = p2[0] = a[0] = 1.0
-        # (lower, column, upper) of every doubling, in the order they run
-        levels = [(rows[:1 << t], col, rows[1 << t:2 << t])
-                  for rows, cols in ((p1[0], stored[:b]), (p1, stored[b + h2:]),
-                                     (p2, stored[b:b + h2]), (a, high))
-                  for t, col in enumerate(cols)]
-        p2t, flat = p2.T, prod.reshape(-1)
+        levels = _doublings((p1[0], stored[:b]), (p1, stored[b + h2:]),
+                            (p2, stored[b:b + h2]), (a, high))
         bounds = self._bounds.tolist()
         js, ks, ratios2 = (v.tolist() for v in self._windows)
         total = math.prod(1.0 + c for c in ratios)
@@ -671,10 +899,7 @@ class GaussianLayerModel:
             for j, k, ratio2 in zip(js[lo:hi], ks[lo:hi], ratios2[lo:hi]):
                 col, j = (stored[k], j) if j < b else (high[k - b], j - b)
                 col.reshape(-1, 2, 1 << j)[:, 1] *= ratio2
-            for lower, part, upper in levels:
-                np.multiply(lower, part, out=upper)
-            np.dot(p1, p2t, out=prod)
-            cur = float(np.dot(flat, a))
+            cur = float(_refill_sum(levels, p1, p2, a, prod))
             out[i] = self._rests[li] * cur / total
             total = cur
         return out

@@ -416,11 +416,15 @@ def test_noiseless_spec_run_matches_flat_oracle(runner, monkeypatch, tmp_path,
 
 
 def test_noiseless_spec_run_capacity_is_the_core_register(runner, monkeypatch):
-    # n = 16 needs the state of the 15 core bits, the float64 ideal (half a
-    # state), l2_error's chunk (a whole state at 15 bits) and numpy's fixed
-    # ufunc buffers (1.58 MB), not the two 16-bit states of a flat run
-    # (2.36 MB)
-    need_mb = ((1 << 15) * 16 * 2.5 + 2 * 8192 * 16 + 4096) / 1e6
+    # n = 16 needs no state of its 15 core bits: with b = 12 low bits and
+    # h = 3 high bits, the real ideal form (4 * 2**12 + 8 floats), the
+    # complex scratch (a form, 3 columns of 2**12 and the sums' 4 + 2 rows
+    # of 2**12 and 8 products), a probe's 22 * 2**12 + 128 floats and
+    # numpy's fixed ufunc buffers (1.97 MB), not the two 16-bit states of
+    # a flat run (2.36 MB)
+    form = 4 * 4096 + 8
+    floats = form + 2 * (form + 3 * 4096 + 6 * 4096 + 8) + 22 * 4096 + 128
+    need_mb = (floats * 8 + 2 * 8192 * 16 + 4096) / 1e6
     args = ["simulate", "--n", "16", "--alpha", "0.9999999"]
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
     assert runner.invoke(main, args).exit_code == 0
@@ -431,7 +435,7 @@ def test_noiseless_spec_run_capacity_is_the_core_register(runner, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (1 << 15) * 16 / 4  # refused before the state or the ideal
+    assert peak < (1 << 15) * 16 / 4  # refused before the table's arrays
 
 
 def test_runs_whose_windows_are_all_pruned(runner):

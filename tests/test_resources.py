@@ -1,6 +1,9 @@
 import collections
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -166,16 +169,32 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [12, 16, 19])
+def _spec_run_need(core: int) -> float:
+    """Bytes of a spec run on ``core`` bits, none of them a 2**core array:
+    with b = min(core, 12) low bits and h = core - b high bits, a product
+    form of 2**b-entry fill, h columns of 2**b entries and 2**h scalars;
+    the table's real ideal form; its complex scratch, one form, h columns
+    and the sums' p1 (2**(h - h // 2) rows of 2**b), p2 (2**(h // 2) rows)
+    and product (2**h); then a probe's doubling triangle (b * 2**(b-1)
+    complex entries), its sum arguments and chunk buffers, or the arrays
+    of probs; and numpy's fixed ufunc buffers."""
+    b = min(core, 12)
+    h = core - b
+    form = (h + 1) * 2 ** b + 2 ** h
+    sums = (2 ** (h - h // 2) + 2 ** (h // 2)) * 2 ** b + 2 ** h
+    floats = (form + 2 * (form + h * 2 ** b + sums) + (b + h + 7) * 2 ** b
+              + 16 * 2 ** h)
+    return floats * 8 + 2 * 8192 * 16 + 4096
+
+
+@pytest.mark.parametrize("n", [12, 16, 19, 22])
 def test_estimate_capacity_covers_state_ideal_and_chunk(monkeypatch, n):
-    # the need: the complex core state, the float64 ideal (half a state),
-    # l2_error's chunk of at most 2**15 complex entries and numpy's fixed
-    # buffers; a cap just below it refuses the run before the ideal or the
-    # state exists, and the run it admits stays under it
+    # a cap just below the spec run's need refuses the run before its
+    # table or any probe array exists, and the run it admits stays under
+    # it: 5.3 MB traced at n = 22, where one core state alone is 33.6 MB
     core = n - 1
     spec = GaussianSpec(n_qubits=n, beta=1e-3, gate_error=1e-6)
-    chunk = min(1 << 15, 1 << core) * 16
-    need = (1 << core) * 16 * 1.5 + chunk + 2 * 8192 * 16 + 4096
+    need = _spec_run_need(core)
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need * 0.99 / 1e6))
 
     def refused():
@@ -185,6 +204,53 @@ def test_estimate_capacity_covers_state_ideal_and_chunk(monkeypatch, n):
     assert _traced_peak(refused) < (1 << core) * 16 / 4
     monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need * 1.01 / 1e6))
     assert _traced_peak(lambda: estimate(spec)) <= need
+
+
+def test_spec_runs_build_no_core_sized_array(monkeypatch):
+    # the error comes from the model's factors, so no spec run calls the
+    # oracles that take whole core states, and a fixed-delta estimate at
+    # n = 22, whose core state alone would be 33.6 MB, traces at most 8 MB
+    def oracle(*args):
+        raise AssertionError("a spec run built a core-sized array")
+
+    for name in ("ideal_core_half_shifted", "l2_error"):
+        monkeypatch.setattr(simulator, name, oracle)
+    monkeypatch.setattr(simulator.GaussianLayerModel, "state", oracle)
+    spec = GaussianSpec(n_qubits=22, beta=1.3e-14, gate_error=2.67e-10)
+    assert _traced_peak(lambda: estimate(spec, seed=3)) <= 8e6
+    spec = GaussianSpec(n_qubits=14, beta=1.3e-14)
+    assert estimate(spec, target_error=1e-9, seed=1).l2_error <= 1e-9
+    assert resources.noiseless_run(14, spec.derived_alpha)[1] < 1e-12
+
+
+def test_estimate_checks_alloc_before_its_table(monkeypatch):
+    # an unknown allocation is refused with the ordering, before the table
+    # builds its circuit (18 to 25 ms at n = 22)
+    def no_table(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(simulator, "CoreTable", no_table)
+    spec = GaussianSpec(n_qubits=22, beta=1.3e-14, gate_error=2.67e-10)
+    with pytest.raises(ParameterError, match="unknown allocation scheme"):
+        estimate(spec, alloc="x")
+
+
+def test_estimate_error_does_not_depend_on_blas_threads():
+    # no reduction of the error sums more than 8192 floats, which OpenBLAS
+    # does on one thread, so one and two threads give equal reports
+    script = ("from gausskit.gates import GaussianSpec\n"
+              "from gausskit.resources import estimate\n"
+              "for n in (16, 19):\n"
+              "    print(repr(estimate(GaussianSpec(n_qubits=n, beta=1.3e-14,"
+              " gate_error=2.67e-10), seed=3)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(resources.__file__)))
+    outputs = [subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src,
+                         "OPENBLAS_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")]
+    assert outputs[0].count("EstimateReport(") == 2
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("n", [4, 9, 14])
@@ -232,8 +298,8 @@ def test_estimate_search_equals_fixed_delta_run(order, alloc):
 
 @pytest.fixture
 def model_calls(monkeypatch):
-    """Every unpruned-circuit build and core-model state() and probs() call,
-    in order."""
+    """Every unpruned-circuit build and core-model error(), state() and
+    probs() call, in order."""
     calls = []
 
     def counting_build(*args):
@@ -241,7 +307,7 @@ def model_calls(monkeypatch):
         return layered_full_gaussian(*args)
 
     monkeypatch.setattr(simulator, "layered_full_gaussian", counting_build)
-    for name in ("state", "probs"):
+    for name in ("error", "state", "probs"):
         method = getattr(simulator.GaussianLayerModel, name)
 
         def counting(self, *args, _name=name, _method=method):
@@ -254,19 +320,19 @@ def model_calls(monkeypatch):
 
 def test_estimate_core_simulation_count(model_calls):
     # the unpruned circuit is built once; the grid search probes 4 deltas
-    # here, each pruning it and building one core state; the accepted run
-    # takes probabilities in packed order, then in the chosen order, and a
-    # fixed delta builds one state
+    # here, each pruning it and taking one core model's error, with no
+    # core state built; the accepted run takes probabilities in packed
+    # order, then in the chosen order, and a fixed delta takes one error
     spec = GaussianSpec(n_qubits=8, alpha=0.99, gate_error=1e-5)
     rep = estimate(spec, target_error=1e-5, seed=2)
     packed = tuple(range(len(rep.ordering)))
-    states = model_calls.count(("state",))
-    assert states == 4 <= 6
-    assert model_calls == [("build",)] + [("state",)] * states + [
+    probes = model_calls.count(("error",))
+    assert probes == 4 <= 6
+    assert model_calls == [("build",)] + [("error",)] * probes + [
         ("probs", packed), ("probs", rep.ordering)]
     model_calls.clear()
     rep = estimate(spec, seed=2)
-    assert model_calls == [("build",), ("state",), ("probs", packed),
+    assert model_calls == [("build",), ("error",), ("probs", packed),
                            ("probs", rep.ordering)]
 
 
@@ -322,7 +388,7 @@ def test_estimate_unreachable_target_builds_one_state(model_calls,
                        match="unreachable even at delta=1e-15"):
         estimate(spec, target_error=1e-30, seed=2)
     assert deltas == [1e-15]
-    assert model_calls == [("build",), ("state",)]
+    assert model_calls == [("build",), ("error",)]
 
 
 def _bisection_search(table, target_error, seed, alloc):
@@ -517,8 +583,10 @@ def _longdouble_core_error(layered, noise) -> float:
 
 @pytest.mark.parametrize("n, spec_args, delta, seed", [
     (12, {"beta": 1.3e-14}, 1e-10, 3),
+    (13, {"beta": 1.3e-14}, 2.67e-10, 2),  # core 12: exactly one chunk
     (15, {"alpha": 1 - 1e-9}, 1e-9, 1),  # one gate pruned
     (14, {"alpha": 1 - 1e-7}, 1e-8, 4),
+    (19, {"beta": 1.3e-14}, 2.67e-10, 3),  # six high bits, 64 chunks
 ])
 def test_estimate_error_matches_long_double_oracle(n, spec_args, delta, seed):
     spec = GaussianSpec(n_qubits=n, gate_error=delta, **spec_args)

@@ -567,45 +567,92 @@ def test_array_probe_matches_per_gate_reference(n, alloc, case, draw):
 
 
 def test_core_table_checks_capacity_before_it_builds(monkeypatch):
-    # the spec run's one capacity check (core state, ideal and l2_error's
-    # chunk) refuses before the table builds its circuit or its ideal
-    monkeypatch.setattr(simulator, "layered_full_gaussian", None)
-    monkeypatch.setattr(simulator, "ideal_core_half_shifted", None)
-    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", "0.1")
-    with pytest.raises(CapacityError):
-        CoreTable(12, 0.99)
+    # the spec run's one capacity check (check_spec_capacity: the table's
+    # ideal form and scratch, and a probe's or probs' arrays) refuses just
+    # below its need, before the table builds its circuit, ideal or scratch
+    core = 11
+    b, h = 11, 0
+    form = (h + 1) * 2 ** b + 2 ** h
+    sums = 2 * 2 ** b + 1
+    need = ((form + 2 * (form + sums) + (b + h + 7) * 2 ** b + 16) * 8
+            + FIXED_BYTES)
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need * 1.01 / 1e6))
+    CoreTable(core + 1, 0.99)
+    for name in ("layered_full_gaussian", "_ProductForm", "_Scratch"):
+        monkeypatch.setattr(simulator, name, None)
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need * 0.99 / 1e6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            CoreTable(core + 1, 0.99)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << core) * 16 / 4
+
+
+def _ideal_state(table):
+    """The table's ideal form, its chunks times their scalars concatenated."""
+    ideal = table.ideal
+    stack = np.empty_like(ideal.cols)
+    return np.concatenate([chunk * scale for chunk, scale in zip(
+        ideal.chunks(stack), ideal.scalars)])
 
 
 def test_core_table_holds_its_circuit_and_ideal():
     rounds = pack_layers(5, np.random.default_rng(3))
     table = CoreTable(6, 0.9, rounds)
     assert table.layered == layered_full_gaussian(6, 0.9, rounds)
-    assert np.array_equal(table.ideal, ideal_core_half_shifted(5, 0.9))
+    np.testing.assert_allclose(_ideal_state(table),
+                               ideal_core_half_shifted(5, 0.9),
+                               rtol=1e-14, atol=0)
     assert [tuple(p) for p in table.pairs.tolist()] == [
         pair for pairs in rounds for pair in pairs]
 
 
+@pytest.mark.parametrize("n", [13, 14, 16])
+def test_core_table_ideal_form_is_the_closed_form(n):
+    # one chunk of 2**12 at n = 13, then one and three high bits; the
+    # product of exact-exponent factors, not exp((y + 1/2)**2 log alpha)
+    alpha = 1 - 1e-7
+    np.testing.assert_allclose(_ideal_state(CoreTable(n, alpha)),
+                               ideal_core_half_shifted(n - 1, alpha),
+                               rtol=1e-12, atol=0)
+
+
 def test_core_pipeline_capacity_boundary(monkeypatch):
-    # predicted need of state(): one complex 2**core state, the
-    # tracemalloc peak measured at core 15 and at core 18
-    model = _probe(CoreTable(9, 0.95))
-    need_mb = ((1 << 8) * 16 * 1.0 + FIXED_BYTES) / 1e6
-    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
-    model.state()
-    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
-    with pytest.raises(CapacityError):
-        model.state()
+    # predicted need of state(): the larger of one complex 2**core state
+    # and the triangle the fill's columns double in, b * 2**(b-1) complex
+    # entries for b = min(core, 12), freed before the state exists: the
+    # triangle at core 8, the state at core 18; the call it admits stays
+    # under it
+    for n in (9, 19):
+        core = n - 1
+        b = min(core, 12)
+        monkeypatch.delenv("GAUSSKIT_MEM_LIMIT_MB", raising=False)
+        model = _probe(CoreTable(n, 0.95))
+        need_mb = (max(1 << core, b << b - 1) * 16 + FIXED_BYTES) / 1e6
+        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+        tracemalloc.start()
+        try:
+            model.state()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need_mb * 1e6
+        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+        with pytest.raises(CapacityError):
+            model.state()
 
 
 def test_layer_model_capacity_boundary(monkeypatch):
-    # predicted need of probs(): with b = min(core, 12) low bits and the
-    # h = core - b high bits split into h - h // 2 and h // 2, p1 and p2
-    # (2**(h - h // 2) and 2**(h // 2) rows of 2**b floats), a, their
-    # product and the high columns (2**h floats each, at most), the column
-    # factors stored on the low bits (2**min(k, b) floats for bit k),
-    # ``out`` (one float per layer) and numpy's fixed buffers; the call it
-    # admits stays under it.  n = 16 and 19 split the high bits on both
-    # sides, 2 + 1 and 3 + 3.
+    # predicted need of probs(), whose p1, p2 and product are the real
+    # views of the table's scratch: with b = min(core, 12) low bits and
+    # h = core - b high bits, a and the high columns (2**h floats each, at
+    # most), the column factors stored on the low bits (2**min(k, b)
+    # floats for bit k), ``out`` (one float per layer) and numpy's fixed
+    # buffers; the call it admits stays under it.  n = 16 and 19 split the
+    # high bits on both sides, 2 + 1 and 3 + 3.
     for n in (9, 16, 19):
         core = n - 1
         b = min(core, 12)
@@ -616,8 +663,8 @@ def test_layer_model_capacity_boundary(monkeypatch):
         lay = table.layered
         model = _probe(table)
         order = range(len(lay.layers))
-        floats = ((1 << b + h - h // 2) + (1 << b + h // 2) + 3 * (1 << h)
-                  + sum(1 << min(k, b) for k in range(core)) + len(order))
+        floats = (2 * (1 << h) + sum(1 << min(k, b) for k in range(core))
+                  + len(order))
         need_mb = (floats * 8 + FIXED_BYTES) / 1e6
         monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
         tracemalloc.start()
