@@ -117,27 +117,30 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
              ) -> EstimateReport:
     """Build, prune, pack, simulate, order, and price a Gaussian preparation.
 
-    The spec's one ``simulator.CoreTable(n_qubits, alpha)`` checks
-    capacity, builds the unpruned layered circuit, reads its rows and holds
-    the ideal core state.  Every gate budget then runs one probe of array
-    operations: prune the table's rows against the budget, draw noise from
-    ``seed`` in gate order of the pruned circuit, fill the core-register
-    model ``simulator.GaussianLayerModel(table, kept, noise)`` and take the
-    error of its state from the table's ideal.  The windows commute, so
-    that state, and the error, are the same in every layer order.  The
-    table's circuit pruned at the accepted budget prices the run, and the
-    real weights give the probabilities in packed order, which pick the
-    optimal layer order (the identity order reads them as they are, a
-    random order does not need them), and the probabilities in the chosen
-    order.
+    ``order`` and ``alloc`` are checked first.  The spec's one
+    ``simulator.CoreTable(n_qubits, alpha)`` then checks capacity, builds
+    the unpruned layered circuit, reads its rows and holds the ideal core
+    state as a product form.  Every gate budget then runs one probe of
+    array operations: prune the table's rows against the budget, draw
+    noise from ``seed`` in gate order of the pruned circuit, fill the
+    core-register model ``simulator.GaussianLayerModel(table, kept,
+    noise)`` and take the error of its state from the table's ideal,
+    chunk by chunk (``GaussianLayerModel.error``): no probe builds the
+    core state, and eps is the same under any BLAS thread count.  The
+    windows commute, so that state, and the error, are the same in every
+    layer order.  The table's circuit pruned at the accepted budget prices
+    the run, and the real weights give the probabilities in packed order,
+    which pick the optimal layer order (the identity order reads them as
+    they are, a random order does not need them), and the probabilities
+    in the chosen order.
 
     With ``target_error`` set, the gate budget is searched on the grid a
     14-halving bisection of log10 delta over [-15, log10 0.05] lands on:
     secant probes find a grid delta whose error meets the target while the
     next grid point's does not, and the accepted candidate's run is
     reused.  Wherever the error crosses the target once, that is the
-    bisection's delta, bit for bit, from 3 to 5 states instead of 15 (100
-    benchmark seeds at n = 19); a fixed budget builds one state.  Pruning
+    bisection's delta, bit for bit, from 3 to 5 probes instead of 15 (100
+    benchmark seeds at n = 19); a fixed budget runs one probe.  Pruning
     removes more gates as delta grows, so later gates get different noise
     axes from one candidate to the next and the error need not be
     monotone in delta; the search is deterministic under the seed, not

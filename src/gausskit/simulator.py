@@ -11,17 +11,22 @@ Three engines, one per register; the two flat ones serve circuit files:
 * ``GaussianLayerModel`` runs the core register of every layered Gaussian
   built from a spec, noisy or not.
   Each window is a factor R[j, k]**(x_j*x_k) on a pair of core bits, so
-  the windows commute: ``state()`` builds the one final state of every
-  layer order by doubling over the bits, each new half the old one times
-  a column of pair factors.  ``probs(order)`` sums the real weights
-  |amplitude|**2 as each layer joins with one small matrix product of
-  arrays refilled the same way, from columns stored on the low 12 bits
-  and on the bits above.  ``CoreTable(n_qubits, alpha)`` is a spec run's
-  one object: it checks capacity, builds the unpruned layered circuit,
-  reads it into one row per gate and holds the ideal core state.  Each
-  gate budget ``estimate`` tries is a probe: ``kept`` prunes with one
-  comparison over all rows, ``draw_noise`` draws the kept rotations' noise
-  as one array and ``GaussianLayerModel`` fills the model.
+  the windows commute, and the one final state of every layer order is a
+  product form, as is the ideal.  ``_ProductForm`` holds one in chunks of
+  the low 12 bits: the fill of those bits, times one column per high bit
+  set, times a scalar.  ``error()`` compares the state with the ideal
+  chunk by chunk once sums of the two forms' factors give the norm and
+  the phase, so no spec run allocates a 2**core array; ``state()``, the
+  chunks concatenated, serves the tests.  ``probs(order)`` sums the real
+  weights |amplitude|**2 as each layer joins with one small matrix
+  product of arrays refilled by doubling, from columns stored on the low
+  12 bits and on the bits above.  ``CoreTable(n_qubits, alpha)`` is a
+  spec run's one object: it checks capacity, builds the unpruned layered
+  circuit, reads it into one row per gate and holds the ideal's form and
+  the buffers its probes refill.  Each gate budget ``estimate`` tries is
+  a probe: ``kept`` prunes with one comparison over all rows,
+  ``draw_noise`` draws the kept rotations' noise as one array and
+  ``GaussianLayerModel`` fills the model.
 
 The flat engines touch a state only through ``_block``, the strided view
 that fixes some bits and leaves the rest free: a gate applies its 2x2
@@ -87,7 +92,7 @@ def _check_capacity(n_bits: int, copies: float = 2.0) -> None:
         need = ((1 << n_bits) * 16 * copies + _FIXED_BYTES) / 1e6
         if need > limit:
             raise CapacityError(
-                f"state of {need:.4g} MB exceeds GAUSSKIT_MEM_LIMIT_MB={limit_mb}")
+                f"need of {need:.4g} MB exceeds GAUSSKIT_MEM_LIMIT_MB={limit_mb}")
 
 
 @dataclass
@@ -488,15 +493,6 @@ def _identities(count: int) -> np.ndarray:
     return np.broadcast_to(np.eye(2, dtype=complex), (count, 2, 2)).copy()
 
 
-def _dot(x: np.ndarray, y: np.ndarray):
-    """x @ y in slices of at most 8192 floats: OpenBLAS runs a dot below
-    10000 elements on one thread, so the sum is the same under any thread
-    count."""
-    step = 65536 // max(x.itemsize, y.itemsize)
-    return sum(np.dot(x[i:i + step], y[i:i + step])
-               for i in range(0, len(x), step))
-
-
 def _doublings(*pairs):
     """The (lower, column, upper) triple of each doubling, in the order
     they run, that refills each ``rows`` of the (rows, columns) ``pairs``
@@ -505,14 +501,25 @@ def _doublings(*pairs):
             for rows, cols in pairs for t, col in enumerate(cols)]
 
 
-def _refill_sum(levels, p1, p2, a, prod):
-    """sum_{r1, r2} a[r1 * len(p2) + r2] * (p1 @ p2.T)[r1, r2] once the
-    doublings ``levels`` have refilled p1, p2 and a: one level-3 BLAS call,
-    whose threads split its rows and columns, never the sum along them."""
-    for lower, part, upper in levels:
-        np.multiply(lower, part, out=upper)
-    np.dot(p1, p2.T, out=prod)
-    return _dot(prod.reshape(-1), a)
+def _weight_sum(levels, p1, p2, a, prod):
+    """The function that runs the doublings ``levels``, which refill p1, p2
+    and a, and returns sum_{r1, r2} a[r1 * len(p2) + r2] * (p1 @ p2.T)[r1,
+    r2]: one level-3 BLAS call, whose threads split its rows and columns,
+    never the sum along them, and a dot in slices of at most 8192 floats,
+    which OpenBLAS runs on one thread below 10000 elements.  So the sum is
+    the same under any thread count."""
+    p2t, flat = p2.T, prod.reshape(-1)
+    step = 65536 // prod.itemsize
+
+    def total():
+        for lower, part, upper in levels:
+            np.multiply(lower, part, out=upper)
+        np.dot(p1, p2t, out=prod)
+        if len(flat) <= step:
+            return np.dot(flat, a)
+        return sum(np.dot(flat[i:i + step], a[i:i + step])
+                   for i in range(0, len(flat), step))
+    return total
 
 
 def _doubled(first, rows, out: np.ndarray) -> np.ndarray:
@@ -588,10 +595,6 @@ class _ProductForm:
         _filled(np.ones(len(self.cols)), pair[b:, b:], self.scalars)
         return self
 
-    @property
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.fill, self.cols, self.scalars
-
     def chunks(self, stack: np.ndarray):
         """Each chunk without its scalar, fill * prod_{k in r} cols[k], for
         r = 0, 1, ...  Its parent r & (r - 1) is the latest chunk one
@@ -621,8 +624,9 @@ class _Scratch:
     per table: fresh on every probe, arrays this large fault in new pages
     each time (432 faults a probe at n = 19).  ``form`` is the probe's
     complex product form, ``cols`` the columns of a form being summed, and
-    p1, p2 and ``prod`` the buffers of ``total``; once the sums are taken,
-    p1 and p2 hold the chunk walks' complex and real stacks."""
+    p1, p2 and ``prod`` the buffers of ``total``, with their real views
+    ``real``; once the sums are taken, p1 and p2 hold the chunk walks'
+    complex and real stacks, and ``probs`` refills the real views."""
 
     def __init__(self, core: int):
         b, h, h2 = _split(core)
@@ -631,6 +635,8 @@ class _Scratch:
         self.p1 = np.empty((1 << h - h2, 1 << b), complex)
         self.p2 = np.empty((1 << h2, 1 << b), complex)
         self.prod = np.empty((len(self.p1), len(self.p2)), complex)
+        self.real = tuple(_as(v, float) for v in (self.p1, self.p2,
+                                                  self.prod))
 
     def total(self, fill, cols, scalars):
         """The sum of the entries of the product form (fill, cols,
@@ -646,20 +652,21 @@ class _Scratch:
         h = len(cols)
         if not h:
             return fill.sum() * scalars[0]
-        p1, p2, prod = (_as(v, cols.dtype) for v in (self.p1, self.p2,
-                                                     self.prod))
+        p1, p2, prod = (self.real if cols.dtype == float
+                        else (self.p1, self.p2, self.prod))
         p1[0], p2[0] = fill, 1.0
-        return _refill_sum(_doublings((p1, cols[h // 2:]), (p2, cols[:h // 2])),
-                           p1, p2, scalars, prod)
+        return _weight_sum(_doublings((p1, cols[h // 2:]), (p2, cols[:h // 2])),
+                           p1, p2, scalars, prod)()
 
 
 class CoreTable:
     """The core register of the layered Gaussian of (n_qubits, alpha) as
-    arrays, and its ideal state.
+    arrays, and its ideal state as a product form.
 
     The table first refuses a run the memory budget cannot hold
-    (``check_spec_capacity``, which counts the ideal), then builds the
-    unpruned ``layered = layered_full_gaussian(n_qubits, alpha, rounds)``;
+    (``check_spec_capacity``, which counts every array below and those of
+    a probe), then builds the unpruned
+    ``layered = layered_full_gaussian(n_qubits, alpha, rounds)``;
     ``rounds`` replaces the builder's packed pair rounds, as there.  The
     rows are the prelude's merged rotation per core qubit, in qubit order,
     then the windows in layer and slot order.  Every row has its
@@ -667,7 +674,9 @@ class CoreTable:
     and whether it has controls, which set its budget.  A prelude row also
     has its kernel; a window has its pair j < k (its two closed controls),
     its layer and the column (K00, K10) of its kernel.  Last, ``ideal`` is
-    the ideal core state ``ideal_core_half_shifted``.
+    the normalized ideal core state ``ideal_core_half_shifted`` as a real
+    ``_ProductForm``, and ``scratch`` the ``_Scratch`` every probe's error
+    and probabilities refill, so a table's probes run one at a time.
 
     A gate budget is then a probe of array operations: ``kept`` prunes
     with one comparison over all rows, ``draw_noise`` draws the kept
@@ -703,19 +712,19 @@ class CoreTable:
         # alpha**((2**b * r)**2 - sum_{k in r} 4**k), each one exp of an
         # exact integer exponent
         self.ideal = ideal = _ProductForm(core, float)
-        low = np.arange(len(ideal.fill))
-        high = np.arange(len(ideal.fill).bit_length() - 1, core)
-        r = np.arange(len(ideal.scalars))
-        top = r * len(ideal.fill)
+        b, h, _ = _split(core)
         log_alpha = math.log(alpha)
+        low = np.arange(1 << b)
         np.exp(log_alpha * (low * low + low), out=ideal.fill)
-        np.exp(log_alpha * ((4 ** high + 2 ** high)[:, None]
-                            + 2 ** (high + 1)[:, None] * low), out=ideal.cols)
-        np.exp(log_alpha * (top * top - (r[:, None] >> np.arange(len(high)) & 1)
-                            @ 4 ** high), out=ideal.scalars)
+        ideal.scalars[0] = 1.0
+        if h:
+            high, top = np.arange(b, core), np.arange(1 << h) << b
+            np.exp(log_alpha * ((4 ** high + 2 ** high)[:, None]
+                                + (2 << high)[:, None] * low), out=ideal.cols)
+            np.exp(log_alpha * (top * top - (top[:, None] >> high & 1)
+                                @ 4 ** high), out=ideal.scalars)
         ideal.scalars /= math.sqrt(self.scratch.total(
-            ideal.fill ** 2, np.square(ideal.cols, out=_as(
-                self.scratch.cols, float)), ideal.scalars ** 2))
+            ideal.fill ** 2, ideal.cols ** 2, ideal.scalars ** 2))
 
     def kept(self, budget: ErrorBudget) -> np.ndarray:
         """The rows pruning at ``budget`` keeps: a prelude row it does not
@@ -866,9 +875,10 @@ class GaussianLayerModel:
         where row r1 of p1 is the weights of L times the L columns of the
         H1 bits set in r1, row r2 of p2 the product of the L columns of the
         H2 bits set in r2, and a the products of the high columns.  As
-        each layer joins, p1, p2 and a are refilled by doubling, and the
-        sum is one level-3 BLAS call, (32 x 4096) @ (4096 x 16) at core 21,
-        and a dot of 2**h entries.  On a 2-core box that product took 0.12
+        each layer joins, p1, p2 (real views of the table's scratch) and a
+        are refilled by doubling (``_weight_sum``), and the sum is one
+        level-3 BLAS call, (32 x 4096) @ (4096 x 16) at core 21, and a dot
+        of 2**h entries.  On a 2-core box that product took 0.12
         to 0.20 ms, and its p90 was at most 1.34 times its median in each
         of twelve processes.  A layer's probability is the ratio of the sums
         after and before, times its |f_rest|**2; the first sum is
@@ -881,15 +891,15 @@ class GaussianLayerModel:
         _check_capacity(self.core, copies=(
             2 * (1 << h) + len(order)
             + sum(1 << min(k, b) for k in range(self.core))) / (2 << self.core))
-        p1, p2, prod = (_as(v, float) for v in (
-            self._scratch.p1, self._scratch.p2, self._scratch.prod))
+        p1, p2, prod = self._scratch.real
         a = np.empty(1 << h)
         ratios = (np.abs(self.rho) ** 2).tolist()
         stored = [np.full(1 << min(k, b), c) for k, c in enumerate(ratios)]
         high = [np.ones(1 << t) for t in range(h)]  # R2[b:k, k] for k = b + t
         p1[0, 0] = p2[0] = a[0] = 1.0
-        levels = _doublings((p1[0], stored[:b]), (p1, stored[b + h2:]),
-                            (p2, stored[b:b + h2]), (a, high))
+        weight_sum = _weight_sum(
+            _doublings((p1[0], stored[:b]), (p1, stored[b + h2:]),
+                       (p2, stored[b:b + h2]), (a, high)), p1, p2, a, prod)
         bounds = self._bounds.tolist()
         js, ks, ratios2 = (v.tolist() for v in self._windows)
         total = math.prod(1.0 + c for c in ratios)
@@ -899,7 +909,7 @@ class GaussianLayerModel:
             for j, k, ratio2 in zip(js[lo:hi], ks[lo:hi], ratios2[lo:hi]):
                 col, j = (stored[k], j) if j < b else (high[k - b], j - b)
                 col.reshape(-1, 2, 1 << j)[:, 1] *= ratio2
-            cur = float(_refill_sum(levels, p1, p2, a, prod))
+            cur = float(weight_sum())
             out[i] = self._rests[li] * cur / total
             total = cur
         return out
