@@ -583,9 +583,9 @@ def _longdouble_core_error(layered, noise) -> float:
 
 @pytest.mark.parametrize("n, spec_args, delta, seed", [
     (12, {"beta": 1.3e-14}, 1e-10, 3),
-    (13, {"beta": 1.3e-14}, 2.67e-10, 2),  # core 12: exactly one chunk
     (15, {"alpha": 1 - 1e-9}, 1e-9, 1),  # one gate pruned
     (14, {"alpha": 1 - 1e-7}, 1e-8, 4),
+    (13, {"beta": 1.3e-14}, 2.67e-10, 2),  # core 12: exactly one chunk
     (19, {"beta": 1.3e-14}, 2.67e-10, 3),  # six high bits, 64 chunks
 ])
 def test_estimate_error_matches_long_double_oracle(n, spec_args, delta, seed):
