@@ -775,7 +775,7 @@ class GaussianLayerModel:
 
     def __init__(self, table: CoreTable, kept, noise):
         self.core = core = table.core
-        self.ideal, self._scratch = table.ideal, table.scratch
+        self._ideal, self._scratch = table.ideal, table.scratch
         # a_q: the prelude gate of qubit q, or XH where pruned, on |0>
         mats = np.where(kept[:core, None, None], table.kernels, XH_MATRIX)
         self.qubits = (noise[:core] @ mats)[:, :, 0]
@@ -816,7 +816,7 @@ class GaussianLayerModel:
         the norm and the phase.  No reduction sums more than 8192 floats,
         so none depends on the BLAS thread count.
         """
-        scratch, ideal = self._scratch, self.ideal
+        scratch, ideal = self._scratch, self._ideal
         psi = scratch.form.set(self.rho, self.ratios)
         weights = np.abs(psi.cols, out=_as(scratch.cols, float))
         norm = math.sqrt(scratch.total(
