@@ -19,8 +19,9 @@ Three engines, one per register; the two flat ones serve circuit files:
   the phase, so no spec run allocates a 2**core array; ``state()``, the
   chunks concatenated, serves the tests.  ``probs(order)`` sums the real
   weights |amplitude|**2 as each layer joins with one small matrix
-  product of arrays refilled by doubling, from columns stored on the low
-  12 bits and on the bits above.  ``CoreTable(n_qubits, alpha)`` is a
+  product of arrays refilled by doubling, from columns stored on low bits
+  of its own, every bit up to 12 core bits and about a third above, and
+  on the bits above them.  ``CoreTable(n_qubits, alpha)`` is a
   spec run's one object: it checks capacity, builds the unpruned layered
   circuit, reads it into one row per gate and holds the ideal's form and
   the buffers its probes refill.  Each gate budget ``estimate`` tries is
@@ -365,9 +366,10 @@ def check_spec_capacity(core: int) -> None:
     """Refuse a spec run on ``core`` bits before it allocates.  No array of
     the run has 2**core entries.  With b, h and h2 from ``_split``, the
     table holds its real ideal form (``_ProductForm``) and the complex
-    ``_Scratch`` its probes refill; on top of these come either a probe's
-    doubling triangle (b * 2**(b-1) complex entries), sum arguments and
-    chunk buffers, or the real arrays of ``probs``."""
+    ``_Scratch`` its probes refill, whose p1 and p2 also hold the real
+    arrays of ``probs``; on top of these come either a probe's doubling
+    triangle (b * 2**(b-1) complex entries), sum arguments and chunk
+    buffers, or the columns of ``probs``, which are smaller."""
     b, h, h2 = _split(core)
     form = (h + 1 << b) + (1 << h)
     sums = ((1 << h - h2) + (1 << h2) << b) + (1 << h)
@@ -505,9 +507,11 @@ def _weight_sum(levels, p1, p2, a, prod):
     """The function that runs the doublings ``levels``, which refill p1, p2
     and a, and returns sum_{r1, r2} a[r1 * len(p2) + r2] * (p1 @ p2.T)[r1,
     r2]: one level-3 BLAS call, whose threads split its rows and columns,
-    never the sum along them, and a dot in slices of at most 8192 floats,
-    which OpenBLAS runs on one thread below 10000 elements.  So the sum is
-    the same under any thread count."""
+    never the sum along them (at most 2**12 terms), and a dot in slices of
+    at most 8192 floats, which OpenBLAS runs on one thread below 10000
+    elements (``probs``' a is one slice up to core 21, 2**13 floats, and
+    two or more from core 22).  So the sum is the same under any thread
+    count."""
     p2t, flat = p2.T, prod.reshape(-1)
     step = 65536 // prod.itemsize
 
@@ -565,11 +569,20 @@ def _filled(rho, pair, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split(core: int) -> tuple[int, int, int]:
-    """(b, h, h2): the low bits a chunk spans, the high bits above them,
-    and the low h // 2 of those, H2, whose columns make ``total``'s p2."""
-    b = min(core, _LOW_BITS)
+def _split(core: int, b: int | None = None) -> tuple[int, int, int]:
+    """(b, h, h2): the b low bits, by default the min(core, 12) a chunk
+    spans, the h high bits above them, and the low h // 2 of those, H2,
+    whose columns make a weight sum's p2."""
+    b = min(core, _LOW_BITS) if b is None else b
     return b, core - b, (core - b) // 2
+
+
+def _weight_split(core: int) -> tuple[int, int, int]:
+    """``probs``' (b, h, h2): every bit low up to 12, where Python calls
+    dominate, and about a third of them above, so that p1, p2 and a each
+    hold about 2**(2 core / 3) entries, a fraction of the 2**core
+    multiply-adds of the product they feed."""
+    return _split(core, core if core <= _LOW_BITS else (core + 5) // 3)
 
 
 class _ProductForm:
@@ -619,14 +632,28 @@ def _as(buf: np.ndarray, dtype, rows: int | None = None) -> np.ndarray:
     return flat[:rows * buf.shape[-1]].reshape(rows, *buf.shape[1:])
 
 
+def _floats(buf: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Real arrays of ``shapes``, one after another over ``buf``'s memory
+    from its start."""
+    flat, out = buf.reshape(-1).view(float), []
+    for shape in shapes:
+        out.append(flat[:math.prod(shape)].reshape(shape))
+        flat = flat[out[-1].size:]
+    return out
+
+
 class _Scratch:
-    """The arrays a probe's ``error`` fills on ``core`` bits, allocated once
-    per table: fresh on every probe, arrays this large fault in new pages
-    each time (432 faults a probe at n = 19).  ``form`` is the probe's
-    complex product form, ``cols`` the columns of a form being summed, and
-    p1, p2 and ``prod`` the buffers of ``total``, with their real views
-    ``real``; once the sums are taken, p1 and p2 hold the chunk walks'
-    complex and real stacks, and ``probs`` refills the real views."""
+    """The arrays a probe's ``error`` and ``probs`` fill on ``core`` bits,
+    allocated once per table: fresh on every probe, arrays this large fault
+    in new pages each time (432 faults a probe at n = 19).  ``form`` is the
+    probe's complex product form, ``cols`` the columns of a form being
+    summed, and p1, p2 and ``prod`` the buffers of ``total``, with their
+    real views ``real``; once the sums are taken, p1 and p2 hold the chunk
+    walks' complex and real stacks.  ``weights`` are the real p1, p2,
+    product and a of ``probs``, on its own split (``_weight_split``), in
+    the memory of p1 (p1 and a) and of p2 (p2 and the product): they take
+    at most three quarters of either (at core 1), and under a third above
+    core 12, up to core 26."""
 
     def __init__(self, core: int):
         b, h, h2 = _split(core)
@@ -637,6 +664,10 @@ class _Scratch:
         self.prod = np.empty((len(self.p1), len(self.p2)), complex)
         self.real = tuple(_as(v, float) for v in (self.p1, self.p2,
                                                   self.prod))
+        b, h, h2 = _weight_split(core)
+        p1, a = _floats(self.p1, (1 << h - h2, 1 << b), (1 << h,))
+        p2, prod = _floats(self.p2, (1 << h2, 1 << b), (len(p1), 1 << h2))
+        self.weights = (p1, p2, prod, a)
 
     def total(self, fill, cols, scalars):
         """The sum of the entries of the product form (fill, cols,
@@ -865,34 +896,37 @@ class GaussianLayerModel:
         by its w0 > 0, which keeps every ratio of sums, bit k weighs 1 at
         x_k = 0 and c_k * prod_{j<k} R2[j, k]**x_j at x_k = 1, with
         c_k = w1/w0 and R2 the joined windows' |ratio|**2.  Its factors on
-        the low b = _LOW_BITS bits L are stored as one column of at most
-        2**b entries, and those on the high bits H above them as one column
-        on the high bits below k.  With H split into H2, its low h // 2
-        bits, and H1 above them, the sum of the weights is
+        the low b bits L (``_weight_split``: every bit up to core 12, then
+        (core + 5) // 3) are stored as one column of at most 2**b entries,
+        and those on the high bits H above them as one column on the high
+        bits below k.  With H split into H2, its low h // 2 bits, and H1
+        above them, the sum of the weights is
 
             sum_{r1, r2} a[r1, r2] * (p1 @ p2.T)[r1, r2],
 
         where row r1 of p1 is the weights of L times the L columns of the
         H1 bits set in r1, row r2 of p2 the product of the L columns of the
         H2 bits set in r2, and a the products of the high columns.  As
-        each layer joins, p1, p2 (real views of the table's scratch) and a
+        each layer joins, p1, p2 and a (the table's ``_Scratch.weights``)
         are refilled by doubling (``_weight_sum``), and the sum is one
-        level-3 BLAS call, (32 x 4096) @ (4096 x 16) at core 21, and a dot
-        of 2**h entries.  On a 2-core box that product took 0.12
-        to 0.20 ms, and its p90 was at most 1.34 times its median in each
-        of twelve processes.  A layer's probability is the ratio of the sums
+        level-3 BLAS call, (128 x 256) @ (256 x 64) at core 21, and a dot
+        of 2**h entries.  With b = 12, refilling 2**(h - h // 2 + b) +
+        2**(h // 2 + b) + 2**h entries took longer than the product's
+        2**core multiply-adds; with b about a third of the bits, each array
+        holds about 2**(2 core / 3) entries.  At core 21 that is 57K
+        entries a layer against 196K, and on a 2-core box a pass took 7 ms
+        against 16 ms, the product 0.10 ms a layer against 0.18 ms.  A layer's probability is the ratio of the sums
         after and before, times its |f_rest|**2; the first sum is
         prod(1 + c_k).
         """
-        b, h, h2 = _split(self.core)
-        # p1, p2 and their product are the real views of the table's
-        # scratch; a, the stored and high columns and ``out``: at or above
-        # the tracemalloc peak at core 8, 15, 18 and 21
+        b, h, h2 = _weight_split(self.core)
+        # the table's p1, p2, product and a, then the stored and high
+        # columns and ``out``: at or above the tracemalloc peak at core 8,
+        # 15, 18 and 21
         _check_capacity(self.core, copies=(
-            2 * (1 << h) + len(order)
+            ((1 << h - h2) + (1 << h2) << b) + (3 << h) + len(order)
             + sum(1 << min(k, b) for k in range(self.core))) / (2 << self.core))
-        p1, p2, prod = self._scratch.real
-        a = np.empty(1 << h)
+        p1, p2, prod, a = self._scratch.weights
         ratios = (np.abs(self.rho) ** 2).tolist()
         stored = [np.full(1 << min(k, b), c) for k, c in enumerate(ratios)]
         high = [np.ones(1 << t) for t in range(h)]  # R2[b:k, k] for k = b + t

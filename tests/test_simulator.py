@@ -24,7 +24,6 @@ from gausskit.simulator import (
     CapacityError,
     CoreTable,
     GaussianLayerModel,
-    _LOW_BITS,
     _apply_gate,
     _identities,
     ideal_core_half_shifted,
@@ -645,38 +644,37 @@ def test_core_pipeline_capacity_boundary(monkeypatch):
             model.state()
 
 
-def test_layer_model_capacity_boundary(monkeypatch):
-    # predicted need of probs(), whose p1, p2 and product are the real
-    # views of the table's scratch: with b = min(core, 12) low bits and
-    # h = core - b high bits, a and the high columns (2**h floats each, at
-    # most), the column factors stored on the low bits (2**min(k, b)
-    # floats for bit k), ``out`` (one float per layer) and numpy's fixed
-    # buffers; the call it admits stays under it.  n = 16 and 19 split the
-    # high bits on both sides, 2 + 1 and 3 + 3.
-    for n in (9, 16, 19):
-        core = n - 1
-        b = min(core, 12)
-        h = core - b
-        # the table checks the whole spec run's capacity: build it unlimited
-        monkeypatch.delenv("GAUSSKIT_MEM_LIMIT_MB", raising=False)
-        table = CoreTable(n, 0.99999)
-        lay = table.layered
-        model = _probe(table)
-        order = range(len(lay.layers))
-        floats = (2 * (1 << h) + sum(1 << min(k, b) for k in range(core))
-                  + len(order))
-        need_mb = (floats * 8 + FIXED_BYTES) / 1e6
-        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
-        tracemalloc.start()
-        try:
-            model.probs(order)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= need_mb * 1e6
-        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
-        with pytest.raises(CapacityError):
-            model.probs(order)
+@pytest.mark.parametrize("n, b", [(9, 8), (16, 6), (19, 7), (22, 8)])
+def test_layer_model_capacity_boundary(monkeypatch, n, b):
+    # predicted need of probs(): with b low bits (every bit up to core 12,
+    # then (core + 5) // 3) and h = core - b high bits split into h - h // 2
+    # rows of p1 and h // 2 rows of p2, the real p1 and p2 of 2**b columns,
+    # their product and a (2**h floats each), the high columns (2**h
+    # floats, at most), the column factors stored on the low bits
+    # (2**min(k, b) floats for bit k), ``out`` (one float per layer) and
+    # numpy's fixed buffers; the call it admits stays under it.  n = 16, 19
+    # and 22 split the high bits 5 + 4, 6 + 5 and 7 + 6.
+    core = n - 1
+    h = core - b
+    # the table checks the whole spec run's capacity: build it unlimited
+    monkeypatch.delenv("GAUSSKIT_MEM_LIMIT_MB", raising=False)
+    table = CoreTable(n, 0.99999)
+    model = _probe(table)
+    order = range(len(table.layered.layers))
+    floats = ((2 ** (h - h // 2) + 2 ** (h // 2)) * 2 ** b + 3 * 2 ** h
+              + sum(1 << min(k, b) for k in range(core)) + len(order))
+    need_mb = (floats * 8 + FIXED_BYTES) / 1e6
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+    tracemalloc.start()
+    try:
+        model.probs(order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need_mb * 1e6
+    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+    with pytest.raises(CapacityError):
+        model.probs(order)
 
 
 def test_layer_model_matches_sequential_probs():
@@ -707,29 +705,38 @@ def test_layer_model_matches_sequential_probs():
                      model.probs(order), sv, rep)
 
 
+def _high_bits(monkeypatch, h):
+    """Make probs() split the core bits as b = core - h low bits and h high
+    bits, for the tables built after the patch."""
+    monkeypatch.setattr(simulator, "_weight_split",
+                        lambda core: simulator._split(core, core - h))
+
+
 @pytest.mark.parametrize("random_order", [False, True],
                          ids=["identity", "random"])
 @pytest.mark.parametrize("extra", [1, 2, 3, 4, 6])
-def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
-    # probs() stores each column's factors on the low b = _LOW_BITS bits
-    # and the h = extra - 1 bits above them split between the rows of p1
-    # and p2: up to n = b + 1 there is no high bit, at n = b + 2 the one
-    # high bit is a row of p1, and from n = b + 3 windows between high
-    # bits fill a, with an even (2 = 1 + 1) and odd (3 = 2 + 1, 5 = 3 + 2)
-    # split; a noisy, pruned run against the flat circuit in that order
-    n = _LOW_BITS + extra
+def test_layer_probs_on_both_sides_of_the_stored_bits(monkeypatch, extra,
+                                                      random_order):
+    # probs() stores each column's factors on its b low bits and splits
+    # the h high bits above them between the rows of p1 and p2; here the
+    # top h = extra - 1 of n = 13's 12 core bits are high: none, one (a
+    # row of p1), then windows between high bits fill a, with an even
+    # (2 = 1 + 1) and odd (3 = 2 + 1, 5 = 3 + 2) split; a noisy, pruned
+    # run against the flat circuit in that order
+    n, h = 13, extra - 1
+    _high_bits(monkeypatch, h)
     budget = ErrorBudget.two_to_one(1e-3)
     table = CoreTable(n, 1 - 1e-8)
     full = table.layered
     lay, info = prune_layered(full, budget)
     assert info.removed_b_gates > 0 and info.replaced_a_gates > 0
     high = [g for layer in lay.layers for g in layer.gates
-            if min(c.qubit for c in g.controls) >= _LOW_BITS]
-    assert bool(high) == (extra > 2)
+            if min(c.qubit for c in g.controls) >= n - 1 - h]
+    assert bool(high) == (h > 1)
     order = tuple(range(len(lay.layers)))
     if random_order:
         order = tuple(int(i) for i in
-                      np.random.default_rng(n).permutation(len(order)))
+                      np.random.default_rng(extra).permutation(len(order)))
     _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
     np.testing.assert_allclose(
         _probe(table, budget, noise_seed=n).probs(order), rep.layer_probs,
@@ -737,26 +744,49 @@ def test_layer_probs_on_both_sides_of_the_stored_bits(extra, random_order):
 
 
 @pytest.mark.parametrize("extra", [4, 6])
-def test_layer_probs_of_a_layer_among_the_high_bits(extra):
-    # each layer's windows between bits above _LOW_BITS move into a layer
-    # of their own, whose probability changes only the high columns, a;
-    # a noisy, pruned run in a random order against the flat circuit
-    n = _LOW_BITS + extra
+def test_layer_probs_of_a_layer_among_the_high_bits(monkeypatch, extra):
+    # with the top h = extra - 1 of n = 13's 12 core bits high, each
+    # layer's windows between high bits move into a layer of their own,
+    # whose probability changes only the high columns, a; a noisy, pruned
+    # run in a random order against the flat circuit
+    n, h = 13, extra - 1
+    _high_bits(monkeypatch, h)
     rounds = []
     for pairs in pack_layers(n - 1):
         parts = ([], [])
         for j, k in pairs:
-            parts[j >= _LOW_BITS].append((j, k))
+            parts[j >= n - 1 - h].append((j, k))
         rounds += [p for p in parts if p]
     table = CoreTable(n, 1 - 1e-8, rounds)
     full = table.layered
     budget = ErrorBudget.two_to_one(1e-3)
     lay, _ = prune_layered(full, budget)
     assert any(min(c.qubit for g in layer.gates for c in g.controls)
-               >= _LOW_BITS for layer in lay.layers)
+               >= n - 1 - h for layer in lay.layers)
+    order = tuple(int(i) for i in
+                  np.random.default_rng(extra).permutation(len(lay.layers)))
+    _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
+    np.testing.assert_allclose(
+        _probe(table, budget, noise_seed=n).probs(order), rep.layer_probs,
+        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, split", [(13, (12, 0, 0)), (14, (6, 7, 3)),
+                                      (15, (6, 8, 4))],
+                         ids=["13", "14", "15"])
+def test_layer_probs_under_the_split_rule(n, split):
+    # probs()' own split: every bit low up to core 12, then b = 6 of 13
+    # and of 14 core bits, so the high bits split 4 + 3 and 4 + 4 between
+    # p1 and p2; a noisy, pruned run in a random order against the flat
+    # circuit
+    assert simulator._weight_split(n - 1) == split
+    budget = ErrorBudget.two_to_one(1e-3)
+    table = CoreTable(n, 1 - 1e-8)
+    lay, _ = prune_layered(table.layered, budget)
     order = tuple(int(i) for i in
                   np.random.default_rng(n).permutation(len(lay.layers)))
-    _, rep = simulate_postselected(*_flat_reference(full, budget, n, order))
+    _, rep = simulate_postselected(*_flat_reference(table.layered, budget, n,
+                                                    order))
     np.testing.assert_allclose(
         _probe(table, budget, noise_seed=n).probs(order), rep.layer_probs,
         rtol=0, atol=1e-12)
