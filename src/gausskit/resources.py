@@ -55,13 +55,18 @@ def layered_t_depth(layered: LayeredCircuit, budget: ErrorBudget
     gates occupy disjoint qubits, so each is one stage, which costs its
     most expensive gate: one single-rotation depth for the prelude (zero if
     pruning replaced every rotation with Cliffords), one doubly-controlled
-    depth per layer.
+    depth per layer.  A gate's depth depends only on its class, whether it
+    is a Clifford and its control count, so a stage prices one gate of
+    each class it holds; a layer holds doubly-controlled B gates only.
     """
     def stage(gates) -> float:
-        return max((_gate_t_depth(g, budget) for g in gates), default=0.0)
+        classes = {(g.kind in CLIFFORD_KINDS, len(g.controls)): g
+                   for g in gates}
+        return max((_gate_t_depth(g, budget) for g in classes.values()),
+                   default=0.0)
 
     return (stage(layered.prelude.gates()),
-            [stage(layer.gates) for layer in layered.layers])
+            [stage(layer.gates[:1]) for layer in layered.layers])
 
 
 def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:

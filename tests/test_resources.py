@@ -88,6 +88,24 @@ def test_layered_t_depth_values():
         assert nk == pytest.approx(2.3 * math.log2(1e4) + 22.4, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [7, 13])
+@pytest.mark.parametrize("delta", [1e-9, 1e-5, 1e-3, 0.2])
+def test_layered_t_depth_is_the_per_gate_max(n, delta):
+    # pricing one gate per class gives, bit for bit, each stage's max over
+    # all its gates, on circuits pruned from nothing to every rotation
+    full = layered_full_gaussian(n, 1 - 1e-6)
+    for budget in (ErrorBudget.two_to_one(delta), ErrorBudget.uniform(delta)):
+        lay, _ = prune_layered(full, budget)
+
+        def stage(gates):
+            return max((resources._gate_t_depth(g, budget) for g in gates),
+                       default=0.0)
+
+        assert layered_t_depth(lay, budget) == (
+            stage(lay.prelude.gates()), [stage(layer.gates)
+                                         for layer in lay.layers])
+
+
 def test_fold_prelude_equivalence():
     # adding the prelude depth to the first layer gives the same value
     n0, nks = 13.0, [7.0, 8.0, 9.0]
