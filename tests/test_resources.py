@@ -254,11 +254,13 @@ def test_estimate_checks_alloc_before_its_table(monkeypatch):
 
 
 def test_estimate_error_does_not_depend_on_blas_threads():
-    # no reduction of the error sums more than 8192 floats, which OpenBLAS
-    # does on one thread, so one and two threads give equal reports
+    # no reduction of the error or of the layer probabilities sums more
+    # than 8192 floats, which OpenBLAS does on one thread, so one and two
+    # threads give equal reports; at n = 22 probs' product is (128 x 256)
+    # @ (256 x 64) and its a a full slice of 8192 floats
     script = ("from gausskit.gates import GaussianSpec\n"
               "from gausskit.resources import estimate\n"
-              "for n in (16, 19):\n"
+              "for n in (16, 19, 22):\n"
               "    print(repr(estimate(GaussianSpec(n_qubits=n, beta=1.3e-14,"
               " gate_error=2.67e-10), seed=3)))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(resources.__file__)))
@@ -267,7 +269,7 @@ def test_estimate_error_does_not_depend_on_blas_threads():
         check=True, env={**os.environ, "PYTHONPATH": src,
                          "OPENBLAS_NUM_THREADS": threads}).stdout
         for threads in ("1", "2")]
-    assert outputs[0].count("EstimateReport(") == 2
+    assert outputs[0].count("EstimateReport(") == 3
     assert outputs[0] == outputs[1]
 
 
