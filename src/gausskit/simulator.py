@@ -508,10 +508,9 @@ def _weight_sum(levels, p1, p2, a, prod):
     and a, and returns sum_{r1, r2} a[r1 * len(p2) + r2] * (p1 @ p2.T)[r1,
     r2]: one level-3 BLAS call, whose threads split its rows and columns,
     never the sum along them (at most 2**12 terms), and a dot in slices of
-    at most 8192 floats, which OpenBLAS runs on one thread below 10000
-    elements (``probs``' a is one slice up to core 21, 2**13 floats, and
-    two or more from core 22).  So the sum is the same under any thread
-    count."""
+    at most 8192 floats (one for ``probs``' a up to core 22), which
+    OpenBLAS runs on one thread below 10000 elements.  So the sum is the
+    same under any thread count."""
     p2t, flat = p2.T, prod.reshape(-1)
     step = 65536 // prod.itemsize
 
@@ -578,10 +577,9 @@ def _split(core: int, b: int | None = None) -> tuple[int, int, int]:
 
 
 def _weight_split(core: int) -> tuple[int, int, int]:
-    """``probs``' (b, h, h2): every bit low up to 12, where Python calls
-    dominate, and about a third of them above, so that p1, p2 and a each
-    hold about 2**(2 core / 3) entries, a fraction of the 2**core
-    multiply-adds of the product they feed."""
+    """``probs``' (b, h, h2): every bit low up to core 12, where Python
+    calls dominate, then about a third of them, so that p1, p2 and a hold
+    about 2**(2 core / 3) entries each."""
     return _split(core, core if core <= _LOW_BITS else (core + 5) // 3)
 
 
@@ -651,9 +649,8 @@ class _Scratch:
     real views ``real``; once the sums are taken, p1 and p2 hold the chunk
     walks' complex and real stacks.  ``weights`` are the real p1, p2,
     product and a of ``probs``, on its own split (``_weight_split``), in
-    the memory of p1 (p1 and a) and of p2 (p2 and the product): they take
-    at most three quarters of either (at core 1), and under a third above
-    core 12, up to core 26."""
+    the memory of p1 (p1 and a) and of p2 (p2 and the product), of which
+    they take at most three quarters up to core 26."""
 
     def __init__(self, core: int):
         b, h, h2 = _split(core)
@@ -896,11 +893,10 @@ class GaussianLayerModel:
         by its w0 > 0, which keeps every ratio of sums, bit k weighs 1 at
         x_k = 0 and c_k * prod_{j<k} R2[j, k]**x_j at x_k = 1, with
         c_k = w1/w0 and R2 the joined windows' |ratio|**2.  Its factors on
-        the low b bits L (``_weight_split``: every bit up to core 12, then
-        (core + 5) // 3) are stored as one column of at most 2**b entries,
-        and those on the high bits H above them as one column on the high
-        bits below k.  With H split into H2, its low h // 2 bits, and H1
-        above them, the sum of the weights is
+        the low b bits L (``_weight_split``) are stored as one column of at
+        most 2**b entries, and those on the high bits H above them as one
+        column on the high bits below k.  With H split into H2, its low
+        h // 2 bits, and H1 above them, the sum of the weights is
 
             sum_{r1, r2} a[r1, r2] * (p1 @ p2.T)[r1, r2],
 
@@ -910,14 +906,11 @@ class GaussianLayerModel:
         each layer joins, p1, p2 and a (the table's ``_Scratch.weights``)
         are refilled by doubling (``_weight_sum``), and the sum is one
         level-3 BLAS call, (128 x 256) @ (256 x 64) at core 21, and a dot
-        of 2**h entries.  With b = 12, refilling 2**(h - h // 2 + b) +
-        2**(h // 2 + b) + 2**h entries took longer than the product's
-        2**core multiply-adds; with b about a third of the bits, each array
-        holds about 2**(2 core / 3) entries.  At core 21 that is 57K
-        entries a layer against 196K, and on a 2-core box a pass took 7 ms
-        against 16 ms, the product 0.10 ms a layer against 0.18 ms.  A layer's probability is the ratio of the sums
-        after and before, times its |f_rest|**2; the first sum is
-        prod(1 + c_k).
+        of 2**h entries.  At core 21 the refill is 57K entries a layer,
+        against 196K with b = 12, which took longer than the product: on a
+        2-core box a pass took 7 ms against 16 ms.  A layer's probability
+        is the ratio of the sums after and before, times its |f_rest|**2;
+        the first sum is prod(1 + c_k).
         """
         b, h, h2 = _weight_split(self.core)
         # the table's p1, p2, product and a, then the stored and high

@@ -644,8 +644,7 @@ def test_core_pipeline_capacity_boundary(monkeypatch):
             model.state()
 
 
-@pytest.mark.parametrize("n, b", [(9, 8), (16, 6), (19, 7), (22, 8)])
-def test_layer_model_capacity_boundary(monkeypatch, n, b):
+def test_layer_model_capacity_boundary(monkeypatch):
     # predicted need of probs(): with b low bits (every bit up to core 12,
     # then (core + 5) // 3) and h = core - b high bits split into h - h // 2
     # rows of p1 and h // 2 rows of p2, the real p1 and p2 of 2**b columns,
@@ -654,27 +653,28 @@ def test_layer_model_capacity_boundary(monkeypatch, n, b):
     # (2**min(k, b) floats for bit k), ``out`` (one float per layer) and
     # numpy's fixed buffers; the call it admits stays under it.  n = 16, 19
     # and 22 split the high bits 5 + 4, 6 + 5 and 7 + 6.
-    core = n - 1
-    h = core - b
-    # the table checks the whole spec run's capacity: build it unlimited
-    monkeypatch.delenv("GAUSSKIT_MEM_LIMIT_MB", raising=False)
-    table = CoreTable(n, 0.99999)
-    model = _probe(table)
-    order = range(len(table.layered.layers))
-    floats = ((2 ** (h - h // 2) + 2 ** (h // 2)) * 2 ** b + 3 * 2 ** h
-              + sum(1 << min(k, b) for k in range(core)) + len(order))
-    need_mb = (floats * 8 + FIXED_BYTES) / 1e6
-    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
-    tracemalloc.start()
-    try:
-        model.probs(order)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= need_mb * 1e6
-    monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
-    with pytest.raises(CapacityError):
-        model.probs(order)
+    for n, b in ((9, 8), (16, 6), (19, 7), (22, 8)):
+        core = n - 1
+        h = core - b
+        # the table checks the whole spec run's capacity: build it unlimited
+        monkeypatch.delenv("GAUSSKIT_MEM_LIMIT_MB", raising=False)
+        table = CoreTable(n, 0.99999)
+        model = _probe(table)
+        order = range(len(table.layered.layers))
+        floats = ((2 ** (h - h // 2) + 2 ** (h // 2)) * 2 ** b + 3 * 2 ** h
+                  + sum(1 << min(k, b) for k in range(core)) + len(order))
+        need_mb = (floats * 8 + FIXED_BYTES) / 1e6
+        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
+        tracemalloc.start()
+        try:
+            model.probs(order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need_mb * 1e6
+        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
+        with pytest.raises(CapacityError):
+            model.probs(order)
 
 
 def test_layer_model_matches_sequential_probs():
