@@ -622,14 +622,6 @@ class _ProductForm:
             yield levels[p]
 
 
-def _as(buf: np.ndarray, dtype, rows: int | None = None) -> np.ndarray:
-    """``rows`` rows (default: as many as ``buf`` has) of ``buf``'s width,
-    in ``dtype`` over ``buf``'s memory, from its start."""
-    flat = buf.reshape(-1).view(dtype)
-    rows = len(buf) if rows is None else rows
-    return flat[:rows * buf.shape[-1]].reshape(rows, *buf.shape[1:])
-
-
 def _floats(buf: np.ndarray, *shapes) -> list[np.ndarray]:
     """Real arrays of ``shapes``, one after another over ``buf``'s memory
     from its start."""
@@ -659,8 +651,8 @@ class _Scratch:
         self.p1 = np.empty((1 << h - h2, 1 << b), complex)
         self.p2 = np.empty((1 << h2, 1 << b), complex)
         self.prod = np.empty((len(self.p1), len(self.p2)), complex)
-        self.real = tuple(_as(v, float) for v in (self.p1, self.p2,
-                                                  self.prod))
+        self.real = tuple(_floats(v, v.shape)[0]
+                          for v in (self.p1, self.p2, self.prod))
         b, h, h2 = _weight_split(core)
         p1, a = _floats(self.p1, (1 << h - h2, 1 << b), (1 << h,))
         p2, prod = _floats(self.p2, (1 << h2, 1 << b), (len(p1), 1 << h2))
@@ -846,7 +838,8 @@ class GaussianLayerModel:
         """
         scratch, ideal = self._scratch, self._ideal
         psi = scratch.form.set(self.rho, self.ratios)
-        weights = np.abs(psi.cols, out=_as(scratch.cols, float))
+        weights = np.abs(psi.cols,
+                         out=_floats(scratch.cols, psi.cols.shape)[0])
         norm = math.sqrt(scratch.total(
             np.abs(psi.fill) ** 2, np.square(weights, out=weights),
             np.abs(psi.scalars) ** 2))
@@ -860,7 +853,7 @@ class GaussianLayerModel:
         sq = 0.0
         for chunk, target, scale, ideal_scale in zip(
                 psi.chunks(scratch.p1),
-                ideal.chunks(_as(scratch.p2, float, len(psi.cols))),
+                ideal.chunks(_floats(scratch.p2, psi.cols.shape)[0]),
                 (psi.scalars * (phase / norm)).tolist(),
                 ideal.scalars.tolist()):
             np.multiply(chunk, scale, out=diff)
