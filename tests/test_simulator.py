@@ -792,6 +792,24 @@ def test_layer_probs_under_the_split_rule(n, split):
         rtol=0, atol=1e-12)
 
 
+def test_probs_arrays_fit_in_the_scratch():
+    # probs' real p1, p2, product and a on its own split are views into
+    # the scratch's complex p1 (p1, a) and p2 (p2, product), side by side,
+    # for every core bit count a spec run may have (np.empty touches none)
+    for core in range(1, simulator.MAX_QUBITS + 1):
+        scratch = simulator._Scratch(core)
+        b, h, h2 = simulator._weight_split(core)
+        p1, p2, prod, a = scratch.weights
+        assert p1.shape == (2 ** (h - h2), 2 ** b)
+        assert p2.shape == (2 ** h2, 2 ** b)
+        assert prod.shape == (len(p1), len(p2)) and a.shape == (2 ** h,)
+        for view, buf in ((p1, scratch.p1), (a, scratch.p1),
+                          (p2, scratch.p2), (prod, scratch.p2)):
+            assert np.shares_memory(view, buf)
+        assert not np.shares_memory(p1, a)
+        assert not np.shares_memory(p2, prod)
+
+
 @pytest.mark.parametrize("core", [12, 15, 18])
 def test_ideal_core_half_shifted_is_the_closed_form(core):
     # built in one buffer, bit for bit the expression it stands for
