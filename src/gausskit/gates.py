@@ -125,6 +125,10 @@ class Control:
         return f"c{self.qubit}" + ("" if self.closed else "!")
 
 
+_MAX_CONTROLS = {GateKind.A: 0, GateKind.B: 2, GateKind.Z: 3, GateKind.H: 0,
+                 GateKind.X: 0, GateKind.CNOT: 1}
+
+
 @dataclass(frozen=True)
 class Gate:
     """One circuit element: a rotation or Clifford with optional controls."""
@@ -142,18 +146,10 @@ class Gate:
         elif self.exponent is not None:
             raise ParameterError(f"{self.kind.value} gate takes no exponent")
         n_ctl = len(self.controls)
-        limits = {
-            GateKind.A: 0,
-            GateKind.B: 2,
-            GateKind.Z: 3,
-            GateKind.H: 0,
-            GateKind.X: 0,
-            GateKind.CNOT: 1,
-        }
-        if n_ctl > limits[self.kind]:
+        if n_ctl > _MAX_CONTROLS[self.kind]:
             raise ParameterError(
-                f"{self.kind.value} gate supports at most {limits[self.kind]} "
-                f"controls, got {n_ctl}"
+                f"{self.kind.value} gate supports at most "
+                f"{_MAX_CONTROLS[self.kind]} controls, got {n_ctl}"
             )
         if self.kind is GateKind.CNOT and n_ctl != 1:
             raise ParameterError("CNOT requires exactly one control")
@@ -211,8 +207,8 @@ class GaussianSpec:
         except TypeError:
             raise ParameterError(
                 f"n_qubits must be an integer, got {self.n_qubits!r}") from None
-        if self.n_qubits < 2:
-            raise ParameterError("n_qubits must be at least 2")
+        if self.n_qubits < 3:
+            raise ParameterError(f"need at least 3 qubits, got {self.n_qubits}")
         if not (0.0 < self.gate_error < 1.0):
             raise ParameterError("gate_error must lie in (0, 1)")
         if self.alpha is not None and self.beta is not None:

@@ -144,7 +144,7 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     secant probes find a grid delta whose error meets the target while the
     next grid point's does not, and the accepted candidate's run is
     reused.  Wherever the error crosses the target once, that is the
-    bisection's delta, bit for bit, from 3 to 5 probes instead of 15 (100
+    bisection's delta, bit for bit, from 3 or 4 probes instead of 15 (100
     benchmark seeds at n = 19); a fixed budget runs one probe.  Pruning
     removes more gates as delta grows, so later gates get different noise
     axes from one candidate to the next and the error need not be
@@ -265,8 +265,17 @@ def _grid_search(eps_at: Callable[[int], float], target_error: float) -> int:
     delta through the last two probes (slope 1 from the first alone),
     floored to the grid and clamped strictly inside the bracket.  After
     two probes in a row that fail to halve the bracket the next probe is
-    its midpoint, so each halving costs at most three probes: at most
-    3 * 14 probes after k = 0.
+    its midpoint.  At the first such pair of stalls only, a secant guess
+    next to the end the last probe moved (lo + 1 after a new lo, hi - 1
+    after a new hi) is probed instead: it closes the bracket when the
+    secant has converged, and the midpoint follows when it does not.
+
+    A halving takes width w to at most (w + 1) // 2 and a stall only
+    shrinks the bracket, so after 13 halvings the width is at most 2 and
+    the 14th window is one probe; each earlier window is at most two
+    stalls and a midpoint.  That is at most 1 + 3 * 13 + 1 = 41 probes
+    with k = 0.  The confirming probe cannot come at width 2, where the
+    guess is the midpoint, and adds at most one probe to one window: 42.
     """
     lo, hi = 0, 1 << _GRID_BITS
     eps = eps_at(lo)
@@ -275,19 +284,22 @@ def _grid_search(eps_at: Callable[[int], float], target_error: float) -> int:
             f"target error {target_error} unreachable even at delta=1e-15")
     x, y = _grid_log_delta(lo), _log_ratio(eps, target_error)
     prev = None  # (x, y) of the probe before (x, y)
-    stalls = 0
+    stalls, met, offered = 0, True, False
     while hi - lo > 1:
         slope = 1.0 if prev is None else (y - prev[1]) / (x - prev[0])
-        if stalls < 2 and 0.0 < slope < math.inf:
+        k = (lo + hi) // 2
+        if 0.0 < slope < math.inf:
             # lo plus the grid points in (lo, hi) at or below the guess
-            k = lo + bisect.bisect_right(range(lo + 1, hi), x - y / slope,
-                                         key=_grid_log_delta)
-            k = max(k, lo + 1)
-        else:
-            k = (lo + hi) // 2
+            guess = max(lo + 1, lo + bisect.bisect_right(
+                range(lo + 1, hi), x - y / slope, key=_grid_log_delta))
+            if stalls < 2 or (not offered
+                              and guess == (lo + 1 if met else hi - 1)):
+                k = guess
+        offered = offered or stalls >= 2
         width = hi - lo
         eps = eps_at(k)
-        if eps <= target_error:
+        met = eps <= target_error
+        if met:
             lo = k
         else:
             hi = k

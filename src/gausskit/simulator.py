@@ -54,11 +54,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import _normalize_quadratic_form, layered_full_gaussian
+from .builders import (_normalize_quadratic_form, layered_full_gaussian,
+                       merged_a_exponent)
 from .circuit import Circuit, MeasureBarrier
-from .gates import (ROTATION_KINDS, XH_MATRIX, Gate, GateKind,
-                    ParameterError, rotation_kernel)
-from .optimizer import ErrorBudget, prune_distance, prunes
+from .gates import (XH_MATRIX, Gate, GateKind, ParameterError, a_matrix,
+                    a_xh_distance, alpha_power, rotation_kernel)
+from .optimizer import ErrorBudget, pack_layers, prunes
 
 MAX_QUBITS = 26
 
@@ -693,10 +694,12 @@ class CoreTable:
     ``optimizer.prune_distance`` and two flags, whether it is a rotation
     and whether it has controls, which set its budget.  A prelude row also
     has its kernel; a window has its pair j < k (its two closed controls),
-    its layer and the column (K00, K10) of its kernel.  Last, ``ideal`` is
-    the normalized ideal core state ``ideal_core_half_shifted`` as a real
-    ``_ProductForm``, and ``scratch`` the ``_Scratch`` every probe's error
-    and probabilities refill, so a table's probes run one at a time.
+    its layer and the column (K00, K10) of its kernel.  Each row is a
+    closed form of alpha and the rounds, bit for bit its Gate's value.
+    Last, ``ideal`` is the normalized ideal core state
+    ``ideal_core_half_shifted`` as a real ``_ProductForm``, and
+    ``scratch`` the ``_Scratch`` every probe's error and probabilities
+    refill, so a table's probes run one at a time.
 
     A gate budget is then a probe of array operations: ``kept`` prunes
     with one comparison over all rows, ``draw_noise`` draws the kept
@@ -707,24 +710,23 @@ class CoreTable:
     def __init__(self, n_qubits: int, alpha: float, rounds=None):
         self.core = core = n_qubits - 1
         check_spec_capacity(core)
-        self.layered = layered = layered_full_gaussian(n_qubits, alpha, rounds)
-        prelude = layered.prelude.elements[1:]  # past the top qubit's H
-        windows = [g for layer in layered.layers for g in layer.gates]
-        self.gates = prelude + tuple(windows)
-        self.window_layer = np.array(
-            [i for i, layer in enumerate(layered.layers) for _ in layer.gates],
-            dtype=np.intp)
-        self.pairs = np.array([sorted(c.qubit for c in g.controls)
-                               for g in windows], dtype=np.intp)
-        self.kernels = np.array([rotation_kernel(g.kind, g.exponent, alpha)
-                                 for g in prelude])
-        self.columns = np.array(
-            [rotation_kernel(g.kind, g.exponent, alpha)[:, 0] for g in windows])
-        self.distance = np.array([prune_distance(g, alpha)
-                                  for g in self.gates])
-        self.rotation, self.controlled = np.array(
-            [(g.kind in ROTATION_KINDS, bool(g.controls)) for g in self.gates],
-            dtype=bool).T
+        if rounds is None:
+            rounds = pack_layers(core)
+        self.layered = layered_full_gaussian(n_qubits, alpha, rounds)
+        self.window_layer = np.repeat(np.arange(len(rounds)),
+                                      [len(pairs) for pairs in rounds])
+        self.pairs = np.sort([pair for pairs in rounds for pair in pairs])
+        exponents = [merged_a_exponent(k) for k in range(core)]
+        self.kernels = np.array([a_matrix(alpha, m) for m in exponents])
+        # each window's alpha**(2**e), one exp per e = j + k + 1 < 2 * core
+        diag = np.array([alpha_power(alpha, e) for e in range(2 * core)])[
+            self.pairs.sum(axis=1) + 1]
+        self.columns = np.stack([diag, np.sqrt(1.0 - diag * diag)],
+                                axis=1).astype(complex)
+        self.distance = np.concatenate(
+            [[a_xh_distance(alpha, m) for m in exponents], 1.0 - diag])
+        self.rotation = np.ones(len(self.distance), dtype=bool)
+        self.controlled = np.arange(len(self.distance)) >= core
         self.scratch = _Scratch(core)
         # alpha**(y*y + y), the ideal over alpha**(1/4), at y = l + 2**b * r
         # for the low bits l and high bits r: fill alpha**(l*l + l), column
@@ -760,7 +762,7 @@ class CoreTable:
         draws them; the identity elsewhere."""
         deltas = budget.deltas(self.rotation, self.controlled)
         rows = np.flatnonzero(kept & (deltas > 0.0))
-        noise = _identities(len(self.gates))
+        noise = _identities(len(self.distance))
         noise[rows] = _perturbations(rng.normal(size=(len(rows), 3)),
                                      deltas[rows])
         return noise

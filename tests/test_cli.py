@@ -496,6 +496,14 @@ def test_degenerate_sweep_matches_simulate(runner):
         float(sim_lines["expected T-depth"]), rel=1e-4)
 
 
+def test_sweep_refuses_a_threshold_below_three_qubits(runner):
+    # alpha 0.3 and 0.4 at delta 1e-2 need one qubit: the spec's bound
+    result = runner.invoke(main, ["sweep", "--axis", "alpha=0.3:0.4:2",
+                                  "--delta", "1e-2"])
+    assert result.exit_code == 2
+    assert "need at least 3 qubits, got 1" in result.output
+
+
 def test_sweep_rejects_three_axes(runner):
     result = runner.invoke(main, ["sweep", "--axis", "delta=1e-5:1e-4:2",
                                   "--axis", "alpha=0.9:0.99:2",

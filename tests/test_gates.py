@@ -172,6 +172,15 @@ def test_gaussian_spec_validation():
         GaussianSpec(n_qubits=4, alpha=0.5, beta=0.1)  # both alpha and beta
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_gaussian_spec_refuses_fewer_than_three_qubits(n_qubits):
+    # the bound every consumer of a spec applies, with the count refused
+    with pytest.raises(ParameterError,
+                       match=f"need at least 3 qubits, got {n_qubits}"):
+        GaussianSpec(n_qubits=n_qubits, alpha=0.9)
+    assert GaussianSpec(n_qubits=3, alpha=0.9).n_qubits == 3
+
+
 @pytest.mark.parametrize("n_qubits", [4.5, 8.0, "8", None])
 def test_gaussian_spec_rejects_non_integer_qubit_count(n_qubits):
     with pytest.raises(ParameterError, match="n_qubits must be an integer"):

@@ -430,22 +430,31 @@ def _bisection_search(table, target_error, seed, alloc):
 _CORNER = 1 - 1e-10
 
 
+# the first five noise seeds of the benchmark's bisect workload, seed 11
+_BENCH_SEEDS = (693047345, 434630808, 500485737, 1980404187, 1871419219)
+
+
 @pytest.mark.parametrize("n, alpha, target, noise_seed", [
     (19, _CORNER, 1e-10, 3),  # criterion 8b
     (12, 1 - 1e-6, 1e-6, 7),  # the three criterion-9 calls
     (16, 1 - 1e-8, 1e-8, 7),
     (19, _CORNER, 1e-10, 7),
-    # the first five noise seeds of the benchmark's bisect workload, seed 11
-    (19, _CORNER, 1e-10, 693047345),
-    (19, _CORNER, 1e-10, 434630808),
-    (19, _CORNER, 1e-10, 500485737),
-    (19, _CORNER, 1e-10, 1980404187),
-    (19, _CORNER, 1e-10, 1871419219),
+    *[(19, _CORNER, 1e-10, noise_seed) for noise_seed in _BENCH_SEEDS],
 ])
 def test_estimate_search_equals_bisection(monkeypatch, n, alpha, target,
                                           noise_seed):
     spec = GaussianSpec(n_qubits=n, alpha=alpha)
+    packed_run, probes = resources._packed_run, []
+
+    def counting(*args):
+        probes.append(args[1])
+        return packed_run(*args)
+
+    monkeypatch.setattr(resources, "_packed_run", counting)
     rep = estimate(spec, target_error=target, seed=noise_seed)
+    # a converged secant is confirmed in one probe on the bench seeds
+    assert noise_seed not in _BENCH_SEEDS or len(probes) <= 4
+    monkeypatch.setattr(resources, "_packed_run", packed_run)
     monkeypatch.setattr(resources, "_search_delta", _bisection_search)
     assert estimate(spec, target_error=target, seed=noise_seed) == rep
 
@@ -553,6 +562,45 @@ def test_grid_search_brackets_any_error(case):
     assert k + 1 == top or eps_at(k + 1) > target
     assert len(probes) == len(set(probes)) <= _PROBE_BOUND
     assert probes[0] == 0 and top not in probes
+
+
+def _power_error(answer, target):
+    """A power of delta, eps = target * (delta / delta*)**0.5, with delta*
+    between grid points ``answer`` and ``answer`` + 1: the error approaches
+    the target from below, more slowly than the first secant step's slope
+    1 assumes."""
+    x_target = 0.5 * (resources._grid_log_delta(answer)
+                      + resources._grid_log_delta(answer + 1))
+    return lambda k: target * 10.0 ** (
+        0.5 * (resources._grid_log_delta(k) - x_target))
+
+
+def test_grid_search_confirms_a_converged_secant_in_one_probe():
+    # the first secant undershoots to 2000 and the second lands on the
+    # answer, both in the bracket's lower half; after those two stalls the
+    # guess is the new lo + 1, which closes the bracket where a midpoint
+    # probe (10192) would have cost one more
+    eps_at = _power_error(4000, 1e-6)
+    recording, probes = _probed(eps_at)
+    k = resources._grid_search(recording, 1e-6)
+    assert probes == [0, 2000, 4000, 4001]
+    assert k == 4000 == _index_bisection(eps_at, 1e-6)
+
+
+def test_grid_search_continues_when_the_confirming_probe_meets_the_target():
+    # the same error up to the secant's answer, then flat at the target up
+    # to a jump at 5000: the confirming probe 4001 moves lo without
+    # closing the bracket, and the search goes on to the bisection's answer
+    power = _power_error(4000, 1e-6)
+
+    def eps_at(k):
+        return power(k) if k <= 4000 else 1e-6 if k < 5000 else 1.0
+
+    recording, probes = _probed(eps_at)
+    k = resources._grid_search(recording, 1e-6)
+    assert probes[:5] == [0, 2000, 4000, 4001, 10192]
+    assert k == 4999 == _index_bisection(eps_at, 1e-6)
+    assert len(probes) == len(set(probes)) <= _PROBE_BOUND
 
 
 def test_estimate_error_is_the_same_in_every_order():

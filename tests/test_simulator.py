@@ -399,7 +399,7 @@ def _probe(table, budget=ErrorBudget.uniform(0.0), noise_seed=0, noisy=True):
     zero budget, which prunes nothing and draws no noise."""
     kept = table.kept(budget)
     noise = (table.draw_noise(budget, kept, np.random.default_rng(noise_seed))
-             if noisy else _identities(len(table.gates)))
+             if noisy else _identities(len(table.distance)))
     return GaussianLayerModel(table, kept, noise)
 
 
@@ -607,6 +607,37 @@ def test_core_table_holds_its_circuit_and_ideal():
                                rtol=1e-14, atol=0)
     assert [tuple(p) for p in table.pairs.tolist()] == [
         pair for pairs in rounds for pair in pairs]
+
+
+@pytest.mark.parametrize("n", [4, 8, 13, 16])
+@pytest.mark.parametrize("relabelled", [False, True])
+def test_core_table_rows_are_the_gates_rows(n, relabelled):
+    # the closed-form rows equal, bit for bit, the rows read from the
+    # table's layered circuit gate by gate
+    alpha = GaussianSpec(n_qubits=n, beta=1.3e-14).derived_alpha
+    rounds = pack_layers(n - 1, np.random.default_rng(n)) if relabelled \
+        else None
+    table = CoreTable(n, alpha, rounds)
+    layered = table.layered
+    prelude = layered.prelude.elements[1:]  # past the top qubit's H
+    windows = [g for layer in layered.layers for g in layer.gates]
+    gates = prelude + tuple(windows)
+    expected = {
+        "window_layer": [i for i, layer in enumerate(layered.layers)
+                         for _ in layer.gates],
+        "pairs": [sorted(c.qubit for c in g.controls) for g in windows],
+        "kernels": [rotation_kernel(g.kind, g.exponent, alpha)
+                    for g in prelude],
+        "columns": [rotation_kernel(g.kind, g.exponent, alpha)[:, 0]
+                    for g in windows],
+        "distance": [prune_distance(g, alpha) for g in gates],
+        "rotation": [g.kind in ROTATION_KINDS for g in gates],
+        "controlled": [bool(g.controls) for g in gates],
+    }
+    for name, rows in expected.items():
+        rows = np.array(rows)
+        assert getattr(table, name).dtype == rows.dtype, name
+        assert np.array_equal(getattr(table, name), rows), name
 
 
 @pytest.mark.parametrize("n", [13, 14, 16])
