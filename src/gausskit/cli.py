@@ -152,10 +152,10 @@ def generate(family, n_spec, alpha, beta, degree, layered, qform, out) -> None:
 @click.option("--alpha", type=float, default=None)
 @click.option("--beta", type=float, default=None)
 @click.option("--delta", type=float, default=0.0, help="per-gate noise budget")
-@click.option("--alloc", type=click.Choice(["uniform", "2to1"]),
+@click.option("--alloc", type=click.Choice(list(resources.ALLOCS)),
               default="2to1",
               help="budget split  [default: 2to1; needs --delta]")
-@click.option("--order", type=click.Choice(["optimal", "random", "identity"]),
+@click.option("--order", type=click.Choice(resources.ORDERS),
               default="optimal",
               help="layer order  [default: optimal; needs --delta, no file]")
 @click.option("--ideal", "tail", type=click.Choice(["finite", "infinite"]),
@@ -211,7 +211,7 @@ def simulate(circuit_file, family, n_spec, degree, qform, alpha, beta, delta,
             alpha = circuit.alpha
             noise, et = None, math.nan
             if delta != 0.0:
-                budget = resources._budget(delta, alloc)
+                budget = resources.ALLOCS[alloc](delta)
                 noise = simulator.realize_noise(
                     circuit.gates(), budget, np.random.default_rng(seed))
                 et = resources.circuit_t_depth(circuit, budget)
@@ -283,9 +283,9 @@ def _file_registers(circuit, n_spec, family, alpha, beta) -> tuple[int, ...]:
 @click.option("--delta", type=float, default=None)
 @click.option("--couple-alpha", is_flag=True,
               help="derive alpha from delta via ||A(1) - XH|| = delta")
-@click.option("--alloc", type=click.Choice(["uniform", "2to1"]), default="2to1")
-@click.option("--order", type=click.Choice(["optimal", "random", "identity"]),
-              default="optimal")
+@click.option("--alloc", type=click.Choice(list(resources.ALLOCS)),
+              default="2to1")
+@click.option("--order", type=click.Choice(resources.ORDERS), default="optimal")
 @click.option("--trials", type=click.IntRange(min=1), default=1)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--threads", type=click.IntRange(min=1), default=1)
@@ -321,12 +321,9 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
 
     def run_point(item):
         flat, params = item
-        rows = []
-        for trial in range(trials):
-            point_seed = (seed ^ flat) + trial * stride
-            rows.append(_sweep_row(params, couple_alpha, alloc, order,
-                                   point_seed))
-        return flat, rows
+        return [_sweep_row(params, couple_alpha, alloc, order,
+                           (seed ^ flat) + trial * stride)
+                for trial in range(trials)]
 
     try:
         if threads > 1:
@@ -338,8 +335,7 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
         _fail(EXIT_CAPACITY, str(exc))
     except ParameterError as exc:
         raise click.UsageError(str(exc))
-    results.sort(key=lambda r: r[0])
-    all_rows = [row for _, rows in results for row in rows]
+    all_rows = [row for rows in results for row in rows]
     if out:
         _append_csv(out, all_rows)
     else:

@@ -24,23 +24,22 @@ from .gates import (CLIFFORD_KINDS, Gate, GateKind, ParameterError,
 class ErrorBudget:
     """Per-gate synthesis accuracy: uncontrolled vs doubly-controlled."""
 
-    delta_gate: float
     delta_single: float
     delta_controlled: float
 
     def __post_init__(self) -> None:
-        for v in (self.delta_gate, self.delta_single, self.delta_controlled):
+        for v in (self.delta_single, self.delta_controlled):
             if not (0.0 <= v < 1.0):
                 raise ParameterError("error budgets must lie in [0, 1)")
 
     @classmethod
     def two_to_one(cls, delta: float) -> "ErrorBudget":
         """Default allocation: controlled rotations at twice the base error."""
-        return cls(delta_gate=delta, delta_single=delta, delta_controlled=2 * delta)
+        return cls(delta_single=delta, delta_controlled=2 * delta)
 
     @classmethod
     def uniform(cls, delta: float) -> "ErrorBudget":
-        return cls(delta_gate=delta, delta_single=delta, delta_controlled=delta)
+        return cls(delta_single=delta, delta_controlled=delta)
 
     def delta_for(self, gate: Gate) -> float:
         """Synthesis accuracy of ``gate``: Cliffords are exact, a rotation
@@ -49,11 +48,10 @@ class ErrorBudget:
             return 0.0
         return self.delta_controlled if gate.controls else self.delta_single
 
-    def deltas(self, rotation, controlled) -> np.ndarray:
-        """``delta_for`` of each row of a table, from its flags: whether it
-        is a rotation and whether it has controls."""
-        return np.where(rotation, np.where(controlled, self.delta_controlled,
-                                           self.delta_single), 0.0)
+    def deltas(self, controlled) -> np.ndarray:
+        """``delta_for`` of each rotation row of a table, from its flag:
+        whether it has controls."""
+        return np.where(controlled, self.delta_controlled, self.delta_single)
 
 
 class DivergentCostError(ValueError):

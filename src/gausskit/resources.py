@@ -152,9 +152,9 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
     stable across pruning boundaries.  Keying each draw by the gate's
     position in the unpruned circuit fixes this (ROADMAP.md, open item 3).
     """
-    if order not in ("optimal", "identity", "random"):
+    if order not in ORDERS:
         raise ParameterError(f"unknown ordering scheme {order!r}")
-    if alloc not in _ALLOCS:
+    if alloc not in ALLOCS:
         raise ParameterError(f"unknown allocation scheme {alloc!r}")
     if target_error is not None and not 0.0 < target_error < math.inf:
         raise ParameterError(
@@ -183,7 +183,7 @@ def estimate(spec: GaussianSpec, *, target_error: float | None = None,
         n_qubits=spec.n_qubits,
         alpha=alpha,
         beta=spec.beta,
-        delta=run.budget.delta_gate,
+        delta=run.budget.delta_single,
         l2_error=run.eps,
         layer_probs=tuple(probs),
         expected_t_depth=et,
@@ -204,20 +204,16 @@ def noiseless_run(n_qubits: int, alpha: float
     return simulator.SimReport(tuple(probs.tolist())), run.eps
 
 
-_ALLOCS = {"2to1": ErrorBudget.two_to_one, "uniform": ErrorBudget.uniform}
-
-
-def _budget(delta: float, alloc: str) -> ErrorBudget:
-    if alloc not in _ALLOCS:
-        raise ParameterError(f"unknown allocation scheme {alloc!r}")
-    return _ALLOCS[alloc](delta)
+# estimate's allocation schemes (a gate error's budget) and layer orders
+ALLOCS = {"uniform": ErrorBudget.uniform, "2to1": ErrorBudget.two_to_one}
+ORDERS = ("optimal", "random", "identity")
 
 
 def _packed_run(table: simulator.CoreTable, delta: float, seed: int,
                 alloc: str) -> _PackedRun:
     """The probe of ``table`` at gate budget ``delta``: its model and the
     error of its state, taken chunk by chunk with no core state built."""
-    budget = _budget(delta, alloc)
+    budget = ALLOCS[alloc](delta)
     kept = table.kept(budget)
     noise = table.draw_noise(budget, kept, np.random.default_rng(seed))
     model = simulator.GaussianLayerModel(table, kept, noise)

@@ -327,17 +327,24 @@ def simulate_postselected(circuit: Circuit,
 
     Ancilla-targeted B gates multiply the data state by <0|B|0> on their
     control subspace (the block-encoding identity); barriers record the
-    accumulated norm loss as that round's success probability.
+    accumulated norm loss as that round's success probability, so each
+    barrier must measure the ancilla of every window since the last one.
     """
     n = circuit.data_qubits
     _check_capacity(n)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     scale = 1.0  # <0|P|0> of the noisy windows since the last barrier
+    windows: set[int] = set()  # their ancilla
     probs: list[float] = []
 
     for elem in circuit.elements:
         if isinstance(elem, MeasureBarrier):
+            windows.difference_update(elem.ancilla)
+            if windows:
+                raise ParameterError(
+                    "post-selected backend: barrier leaves window ancilla "
+                    f"{sorted(windows)} unmeasured")
             probs.append(_post_select(state, scale))
             scale = 1.0
             continue
@@ -350,6 +357,7 @@ def simulate_postselected(circuit: Circuit,
             f_sel, f_rest = _window_factors(elem, circuit.alpha, noise)
             _apply_window(state, elem.controls, f_sel / f_rest)
             scale *= f_rest
+            windows.add(elem.target)
             continue
         _apply_gate(state, elem, circuit.alpha, noise)
     if scale != 1.0:
@@ -364,13 +372,14 @@ _LOW_BITS = 12  # a product form's chunks span these low bits
 
 
 def check_spec_capacity(core: int) -> None:
-    """Refuse a spec run on ``core`` bits before it allocates.  No array of
-    the run has 2**core entries.  With b, h and h2 from ``_split``, the
-    table holds its real ideal form (``_ProductForm``) and the complex
-    ``_Scratch`` its probes refill, whose p1 and p2 also hold the real
-    arrays of ``probs``; on top of these come either a probe's doubling
-    triangle (b * 2**(b-1) complex entries), sum arguments and chunk
-    buffers, or the columns of ``probs``, which are smaller."""
+    """A spec run's one memory check, which its ``CoreTable`` makes before
+    it allocates.  No array of the run has 2**core entries.  With b, h
+    and h2 from ``_split``, the table holds its real ideal form
+    (``_ProductForm``) and the complex ``_Scratch`` its probes refill,
+    whose p1 and p2 also hold the real arrays of ``probs``; on top of
+    these come either a probe's doubling triangle (b * 2**(b-1) complex
+    entries), sum arguments and chunk buffers, or the columns of
+    ``probs``, which are smaller."""
     b, h, h2 = _split(core)
     form = (h + 1 << b) + (1 << h)
     sums = ((1 << h - h2) + (1 << h2) << b) + (1 << h)
@@ -519,8 +528,6 @@ def _weight_sum(levels, p1, p2, a, prod):
         for lower, part, upper in levels:
             np.multiply(lower, part, out=upper)
         np.dot(p1, p2t, out=prod)
-        if len(flat) <= step:
-            return np.dot(flat, a)
         return sum(np.dot(flat[i:i + step], a[i:i + step])
                    for i in range(0, len(flat), step))
     return total
@@ -690,9 +697,9 @@ class CoreTable:
     ``layered = layered_full_gaussian(n_qubits, alpha, rounds)``;
     ``rounds`` replaces the builder's packed pair rounds, as there.  The
     rows are the prelude's merged rotation per core qubit, in qubit order,
-    then the windows in layer and slot order.  Every row has its
-    ``optimizer.prune_distance`` and two flags, whether it is a rotation
-    and whether it has controls, which set its budget.  A prelude row also
+    then the windows in layer and slot order.  Every row is a rotation
+    with its ``optimizer.prune_distance`` and a flag, whether it has
+    controls, which sets its budget.  A prelude row also
     has its kernel; a window has its pair j < k (its two closed controls),
     its layer and the column (K00, K10) of its kernel.  Each row is a
     closed form of alpha and the rounds, bit for bit its Gate's value.
@@ -725,7 +732,6 @@ class CoreTable:
                                 axis=1).astype(complex)
         self.distance = np.concatenate(
             [[a_xh_distance(alpha, m) for m in exponents], 1.0 - diag])
-        self.rotation = np.ones(len(self.distance), dtype=bool)
         self.controlled = np.arange(len(self.distance)) >= core
         self.scratch = _Scratch(core)
         # alpha**(y*y + y), the ideal over alpha**(1/4), at y = l + 2**b * r
@@ -752,7 +758,7 @@ class CoreTable:
         """The rows pruning at ``budget`` keeps: a prelude row it does not
         keep becomes exact XH, a window it does not keep is dropped."""
         return ~prunes(self.distance,
-                       budget.deltas(self.rotation, self.controlled))
+                       budget.deltas(self.controlled))
 
     def draw_noise(self, budget: ErrorBudget, kept: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
@@ -760,7 +766,7 @@ class CoreTable:
         draw for the G kept rotations, in the pruned circuit's gate order
         (prelude, then windows by layer and slot), as ``realize_noise``
         draws them; the identity elsewhere."""
-        deltas = budget.deltas(self.rotation, self.controlled)
+        deltas = budget.deltas(self.controlled)
         rows = np.flatnonzero(kept & (deltas > 0.0))
         noise = _identities(len(self.distance))
         noise[rows] = _perturbations(rng.normal(size=(len(rows), 3)),
@@ -908,12 +914,6 @@ class GaussianLayerModel:
         the first sum is prod(1 + c_k).
         """
         b, h, h2 = _weight_split(self.core)
-        # the table's p1, p2, product and a, then the stored and high
-        # columns and ``out``: at or above the tracemalloc peak at core 8,
-        # 15, 18 and 21
-        _check_capacity(self.core, copies=(
-            ((1 << h - h2) + (1 << h2) << b) + (3 << h) + len(order)
-            + sum(1 << min(k, b) for k in range(self.core))) / (2 << self.core))
         p1, p2, prod, a = self._scratch.weights
         ratios = (np.abs(self.rho) ** 2).tolist()
         stored = [np.full(1 << min(k, b), c) for k, c in enumerate(ratios)]

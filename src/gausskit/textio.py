@@ -22,9 +22,10 @@ the line of the first offending element.
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from .circuit import Circuit, MeasureBarrier, _violations
-from .gates import Control, Gate, GateKind
+from .gates import Control, Gate, GateKind, ParameterError
 
 
 class CircuitParseError(ValueError):
@@ -85,11 +86,11 @@ def _parse(text: str) -> tuple[Circuit, list[int]]:
     lines = text.splitlines()
     if not lines:
         raise CircuitParseError(1, "empty circuit file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "QUBITS":
+    words = lines[0].split()
+    if len(words) != 4 or words[0] != "QUBITS":
         raise CircuitParseError(1, "expected 'QUBITS data=<n> ancilla=<a> alpha=<x>'")
     fields = {}
-    for token in header[1:]:
+    for token in words[1:]:
         key, _, value = token.partition("=")
         fields[key] = value
     try:
@@ -98,12 +99,10 @@ def _parse(text: str) -> tuple[Circuit, list[int]]:
         alpha = _number(fields["alpha"], float)
     except (KeyError, ValueError) as exc:
         raise CircuitParseError(1, f"bad header field: {exc}") from exc
-    if data < 1 or anc < 0:
-        raise CircuitParseError(
-            1, f"need data >= 1 and a non-negative ancilla count, got "
-               f"data={data} ancilla={anc}")
-    if not (0.0 < alpha < 1.0):
-        raise CircuitParseError(1, f"alpha must lie in (0, 1), got {alpha}")
+    try:
+        header = Circuit(data_qubits=data, ancilla_qubits=anc, alpha=alpha)
+    except ParameterError as exc:
+        raise CircuitParseError(1, str(exc)) from exc
 
     elements = []
     line_nos = []
@@ -147,9 +146,7 @@ def _parse(text: str) -> tuple[Circuit, list[int]]:
         except ValueError as exc:
             raise CircuitParseError(line_no, str(exc)) from exc
         line_nos.append(line_no)
-    circuit = Circuit(data_qubits=data, ancilla_qubits=anc, alpha=alpha,
-                      elements=tuple(elements))
-    return circuit, line_nos
+    return replace(header, elements=tuple(elements)), line_nos
 
 
 def load(path: str) -> Circuit:

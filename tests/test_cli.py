@@ -511,6 +511,49 @@ def test_sweep_rejects_three_axes(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--axis", "alpha=0.9:0.99:2"], "sweep needs a delta value or axis"),
+    (["--axis", "n=5:6:2:lin", "--delta", "1e-5"],
+     "sweep needs alpha, beta, or --couple-alpha"),
+    (["--axis", "beta=0.1:0.2:2", "--delta", "1e-5"],
+     "beta sweeps need an explicit --n"),
+    (["--axis", "n=5:6:2:lin", "--couple-alpha"],
+     "--couple-alpha needs a delta value or axis"),
+], ids=["no-delta", "no-alpha", "beta-without-n", "couple-without-delta"])
+def test_sweep_point_without_its_values_exits_2(runner, args, message):
+    result = runner.invoke(main, ["sweep", *args])
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+_UNMEASURED_WINDOW = """\
+QUBITS data=3 ancilla=2 alpha=0.8
+H q0
+H q1
+H q2
+B 1 q3 c0 c1
+B 2 q4 c1 c2
+MEASURE a0
+A 0.5 q0
+B 1.5 q3 c0 c2
+MEASURE a1
+MEASURE a0
+"""
+
+
+def test_simulate_file_barrier_leaving_a_window_unmeasured_exits_2(
+        runner, tmp_path):
+    # the file is valid, but its first barrier leaves the a1 window
+    # unmeasured, so the post-selected engine cannot charge that window
+    # to one barrier
+    path = tmp_path / "late.txt"
+    path.write_text(_UNMEASURED_WINDOW)
+    assert validate(textio.load(str(path))) == []
+    result = runner.invoke(main, ["simulate", str(path)])
+    assert result.exit_code == 2
+    assert "ancilla [4] unmeasured" in result.output
+
+
 def test_sweep_couple_alpha(runner):
     result = runner.invoke(main, ["sweep", "--axis", "delta=1e-4:1e-3:2:log",
                                   "--couple-alpha", "--seed", "1"])

@@ -200,23 +200,22 @@ def test_error_budget_allocations():
         0.0, 1e-4, 1e-4]
 
 
-# the control counts each kind allows: CNOT exactly one, A, H and X none,
-# B up to two and Z up to three
+# the control counts each rotation kind allows: A none, B up to two and
+# Z up to three
 _LEGAL_CONTROLS = {GateKind.A: (0,), GateKind.B: (0, 1, 2),
-                   GateKind.Z: (0, 1, 2, 3), GateKind.H: (0,),
-                   GateKind.X: (0,), GateKind.CNOT: (1,)}
+                   GateKind.Z: (0, 1, 2, 3)}
 
 
 @pytest.mark.parametrize("budget", [
     ErrorBudget.two_to_one(1e-4), ErrorBudget.uniform(3e-7),
     ErrorBudget.two_to_one(0.0)], ids=["two_to_one", "uniform", "zero"])
 def test_array_budget_rule_is_delta_for(budget):
-    gates = [Gate(kind, 4, exponent=1.0 if kind in ROTATION_KINDS else None,
+    # a table's rows are rotations: every legal rotation gate
+    gates = [Gate(kind, 4, exponent=1.0,
                   controls=tuple(Control(q) for q in range(n_ctl)))
              for kind, counts in _LEGAL_CONTROLS.items() for n_ctl in counts]
-    assert {g.kind for g in gates} == set(GateKind)
-    deltas = budget.deltas(np.array([g.kind in ROTATION_KINDS for g in gates]),
-                           np.array([bool(g.controls) for g in gates]))
+    assert {g.kind for g in gates} == set(ROTATION_KINDS)
+    deltas = budget.deltas(np.array([bool(g.controls) for g in gates]))
     assert deltas.tolist() == [budget.delta_for(g) for g in gates]
 
 

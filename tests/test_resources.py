@@ -205,11 +205,15 @@ def _spec_run_need(core: int) -> float:
     return floats * 8 + 2 * 8192 * 16 + 4096
 
 
-@pytest.mark.parametrize("n", [12, 16, 19, 22])
+@pytest.mark.parametrize("n", [12, 16, 19, 22, 24, 27])
 def test_estimate_capacity_covers_state_ideal_and_chunk(monkeypatch, n):
     # a cap just below the spec run's need refuses the run before its
     # table or any probe array exists, and the run it admits stays under
-    # it: 5.3 MB traced at n = 22, where one core state alone is 33.6 MB
+    # it: 5.3 MB traced at n = 22, where one core state alone is 33.6 MB,
+    # and up to the largest core, 26 bits at n = 27.  One small run first
+    # makes the lazy imports of a process's first estimate (0.7 MB, from
+    # numpy.random) before anything is traced.
+    estimate(GaussianSpec(n_qubits=4, beta=1e-3, gate_error=1e-6))
     core = n - 1
     spec = GaussianSpec(n_qubits=n, beta=1e-3, gate_error=1e-6)
     need = _spec_run_need(core)

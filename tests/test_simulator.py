@@ -114,6 +114,26 @@ def test_postselected_norm_and_gamma_consistency():
         np.prod(rep.layer_probs), abs=1e-10)
 
 
+def test_postselected_refuses_a_barrier_that_leaves_a_window_unmeasured():
+    # windows on ancilla 3 and 4, then a barrier on 3 alone: the exact
+    # engine charges the 4 window to the second barrier, the post-selected
+    # one could only charge it to the first
+    def window(target, c1, c2, m):
+        return Gate(GateKind.B, target, exponent=m,
+                    controls=(Control(c1), Control(c2)))
+
+    circ = Circuit(data_qubits=3, ancilla_qubits=2, alpha=0.8, elements=(
+        *(Gate(GateKind.H, q) for q in range(3)),
+        window(3, 0, 1, 1.0), window(4, 1, 2, 2.0), MeasureBarrier((3,)),
+        Gate(GateKind.A, 0, exponent=0.5), window(3, 0, 2, 1.5),
+        MeasureBarrier((4,)), MeasureBarrier((3,))))
+    _, rep = simulate_exact(circ)
+    np.testing.assert_allclose(rep.layer_probs, [0.852400, 0.827970,
+                                                 0.726014], atol=1e-6)
+    with pytest.raises(ParameterError, match=r"ancilla \[4\] unmeasured"):
+        simulate_postselected(circ)
+
+
 def test_z_only_circuit_has_unit_probs():
     circ = build_poly_phase(4, 0.5, 2)
     _, rep = simulate_postselected(circ)
@@ -631,9 +651,9 @@ def test_core_table_rows_are_the_gates_rows(n, relabelled):
         "columns": [rotation_kernel(g.kind, g.exponent, alpha)[:, 0]
                     for g in windows],
         "distance": [prune_distance(g, alpha) for g in gates],
-        "rotation": [g.kind in ROTATION_KINDS for g in gates],
         "controlled": [bool(g.controls) for g in gates],
     }
+    assert all(g.kind in ROTATION_KINDS for g in gates)
     for name, rows in expected.items():
         rows = np.array(rows)
         assert getattr(table, name).dtype == rows.dtype, name
@@ -675,37 +695,20 @@ def test_core_pipeline_capacity_boundary(monkeypatch):
             model.state()
 
 
-def test_layer_model_capacity_boundary(monkeypatch):
-    # predicted need of probs(): with b low bits (every bit up to core 12,
-    # then (core + 5) // 3) and h = core - b high bits split into h - h // 2
-    # rows of p1 and h // 2 rows of p2, the real p1 and p2 of 2**b columns,
-    # their product and a (2**h floats each), the high columns (2**h
-    # floats, at most), the column factors stored on the low bits
-    # (2**min(k, b) floats for bit k), ``out`` (one float per layer) and
-    # numpy's fixed buffers; the call it admits stays under it.  n = 16, 19
-    # and 22 split the high bits 5 + 4, 6 + 5 and 7 + 6.
-    for n, b in ((9, 8), (16, 6), (19, 7), (22, 8)):
-        core = n - 1
-        h = core - b
-        # the table checks the whole spec run's capacity: build it unlimited
-        monkeypatch.delenv("GAUSSKIT_MEM_LIMIT_MB", raising=False)
-        table = CoreTable(n, 0.99999)
-        model = _probe(table)
-        order = range(len(table.layered.layers))
-        floats = ((2 ** (h - h // 2) + 2 ** (h // 2)) * 2 ** b + 3 * 2 ** h
-                  + sum(1 << min(k, b) for k in range(core)) + len(order))
-        need_mb = (floats * 8 + FIXED_BYTES) / 1e6
-        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 1.01))
-        tracemalloc.start()
-        try:
-            model.probs(order)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= need_mb * 1e6
-        monkeypatch.setenv("GAUSSKIT_MEM_LIMIT_MB", repr(need_mb * 0.99))
-        with pytest.raises(CapacityError):
-            model.probs(order)
+def test_probs_columns_fit_in_the_spec_run_need():
+    # probs makes no capacity check of its own: its p1, p2, product and a
+    # are the table's scratch (test_probs_arrays_fit_in_the_scratch), and
+    # its stored columns (2**min(k, b) floats for bit k, b from
+    # _weight_split), high columns (2**t floats for t < h) and ``out``
+    # (one float per layer) fit in the term check_spec_capacity counts
+    # for a probe's transient arrays, (b + h + 7) * 2**b + 16 * 2**h
+    # floats on the chunk split, at every core a spec run may have
+    for core in range(2, simulator.MAX_QUBITS + 1):
+        b, h, _ = simulator._split(core)
+        bw, hw, _ = simulator._weight_split(core)
+        floats = (sum(1 << min(k, bw) for k in range(core))
+                  + sum(1 << t for t in range(hw)) + len(pack_layers(core)))
+        assert floats <= (b + h + 7) * 2 ** b + 16 * 2 ** h, core
 
 
 def test_layer_model_matches_sequential_probs():
