@@ -15,6 +15,7 @@ import numpy as np
 from .circuit import Circuit, Element, Layer, LayeredCircuit, MeasureBarrier
 from .expansion import monomial_coefficients
 from .gates import Control, Gate, GateKind, ParameterError
+from .optimizer import pack_layers
 
 
 def _check_n(n: int, minimum: int) -> None:
@@ -60,6 +61,20 @@ def build_exponential(n: int, alpha: float) -> Circuit:
     return Circuit(data_qubits=n, ancilla_qubits=0, alpha=alpha, elements=elements)
 
 
+def _window_circuit(n: int, alpha: float, head, windows, tail=()) -> Circuit:
+    """``head``, then one window per (exponent, control qubits) of
+    ``windows``, then ``tail``, on n data qubits.  Window i is a B gate on
+    the fresh ancilla n + i, closed-controlled on its qubits, followed by
+    the barrier that measures it."""
+    body: list[Element] = []
+    for anc, (exponent, qubits) in enumerate(windows, start=n):
+        body.append(Gate(GateKind.B, anc, exponent=exponent,
+                         controls=tuple(map(Control, qubits))))
+        body.append(MeasureBarrier((anc,)))
+    return Circuit(data_qubits=n, ancilla_qubits=len(body) // 2, alpha=alpha,
+                   elements=(*head, *body, *tail))
+
+
 def build_half_gaussian(n: int, alpha: float) -> Circuit:
     """Half-Gaussian window on a uniform state: output ~ sum alpha**(x*x) |x>.
 
@@ -69,27 +84,30 @@ def build_half_gaussian(n: int, alpha: float) -> Circuit:
     (post-selected on |0>) immediately after.
     """
     _check_n(n, 2)
-    elements: list[Element] = [Gate(GateKind.H, q) for q in range(n)]
-    anc = n  # next free ancilla (absolute index)
-    for j in range(n):
-        elements.append(
-            Gate(GateKind.B, anc, exponent=float(2 * j), controls=(Control(j),)))
-        elements.append(MeasureBarrier((anc,)))
-        anc += 1
-    for j in range(n):
-        for k in range(j + 1, n):
-            elements.append(
-                Gate(GateKind.B, anc, exponent=float(j + k + 1),
-                     controls=(Control(j), Control(k))))
-            elements.append(MeasureBarrier((anc,)))
-            anc += 1
-    return Circuit(data_qubits=n, ancilla_qubits=anc - n, alpha=alpha,
-                   elements=tuple(elements))
+    return _window_circuit(
+        n, alpha, [Gate(GateKind.H, q) for q in range(n)],
+        [(float(2 * j), (j,)) for j in range(n)]
+        + [(float(j + k + 1), (j, k))
+           for j in range(n) for k in range(j + 1, n)])
 
 
 def merged_a_exponent(k: int) -> float:
     """Rotation exponent log2(2**k + 4**k) absorbing the half-shift into A."""
     return math.log2(2.0 ** k + 4.0 ** k)
+
+
+def _full_prelude(n: int) -> tuple[Gate, ...]:
+    """The full Gaussian's prelude: a Hadamard on the top qubit, then the
+    merged rotation A(log2(2**k+4**k)) on each core qubit k < n-1."""
+    return (Gate(GateKind.H, n - 1),) + tuple(
+        Gate(GateKind.A, k, exponent=merged_a_exponent(k)) for k in range(n - 1))
+
+
+def _full_postlude(n: int) -> tuple[Gate, ...]:
+    """The full Gaussian's postlude: open-control CNOTs from the top qubit
+    flip the core qubits, reflecting the lower half."""
+    return tuple(Gate(GateKind.CNOT, q, controls=(Control(n - 1, closed=False),))
+                 for q in range(n - 1))
 
 
 def build_full_gaussian(n: int, alpha: float) -> Circuit:
@@ -100,24 +118,11 @@ def build_full_gaussian(n: int, alpha: float) -> Circuit:
     qubit gets a Hadamard and open-control CNOTs flip the lower half.
     """
     _check_n(n, 3)
-    core = n - 1
-    top = n - 1
-    elements: list[Element] = [Gate(GateKind.H, top)]
-    elements.extend(
-        Gate(GateKind.A, k, exponent=merged_a_exponent(k)) for k in range(core))
-    anc = n
-    for j in range(core):
-        for k in range(j + 1, core):
-            elements.append(
-                Gate(GateKind.B, anc, exponent=float(j + k + 1),
-                     controls=(Control(j), Control(k))))
-            elements.append(MeasureBarrier((anc,)))
-            anc += 1
-    elements.extend(
-        Gate(GateKind.CNOT, q, controls=(Control(top, closed=False),))
-        for q in range(core))
-    return Circuit(data_qubits=n, ancilla_qubits=anc - n, alpha=alpha,
-                   elements=tuple(elements))
+    return _window_circuit(
+        n, alpha, _full_prelude(n),
+        [(float(j + k + 1), (j, k))
+         for j in range(n - 1) for k in range(j + 1, n - 1)],
+        _full_postlude(n))
 
 
 def layered_full_gaussian(n: int, alpha: float,
@@ -130,20 +135,13 @@ def layered_full_gaussian(n: int, alpha: float,
     gates, each on its own ancilla out of a pool of floor((n-1)/2),
     followed by a measurement barrier.
     """
-    from .optimizer import pack_layers
-
     _check_n(n, 3)
     core = n - 1
-    top = n - 1
     n_anc = (n - 1) // 2
     if rounds is None:
         rounds = pack_layers(core)
-    prelude = Circuit(
-        data_qubits=n, ancilla_qubits=n_anc, alpha=alpha,
-        elements=(Gate(GateKind.H, top),)
-        + tuple(Gate(GateKind.A, k, exponent=merged_a_exponent(k))
-                for k in range(core)),
-    )
+    prelude = Circuit(data_qubits=n, ancilla_qubits=n_anc, alpha=alpha,
+                      elements=_full_prelude(n))
     layers = []
     for pairs in rounds:
         gates = tuple(
@@ -151,12 +149,8 @@ def layered_full_gaussian(n: int, alpha: float,
                  controls=(Control(j), Control(k)))
             for slot, (j, k) in enumerate(pairs))
         layers.append(Layer(gates=gates))
-    postlude = Circuit(
-        data_qubits=n, ancilla_qubits=n_anc, alpha=alpha,
-        elements=tuple(
-            Gate(GateKind.CNOT, q, controls=(Control(top, closed=False),))
-            for q in range(core)),
-    )
+    postlude = Circuit(data_qubits=n, ancilla_qubits=n_anc, alpha=alpha,
+                       elements=_full_postlude(n))
     return LayeredCircuit(prelude=prelude, layers=tuple(layers), postlude=postlude)
 
 
@@ -196,31 +190,15 @@ def build_gaussian_2d(n_x: int, n_y: int, q, alpha: float) -> Circuit:
     _check_n(n_y, 1)
     cxx, cxy, cyy = _normalize_quadratic_form(q)
     x0 = n_y  # absolute index of x register bit 0
-    n = n_x + n_y
-    elements: list[Element] = []
-    for j in range(n_y):
-        elements.append(Gate(GateKind.A, j, exponent=math.log2(cyy) + 2 * j))
-    for j in range(n_x):
-        elements.append(Gate(GateKind.A, x0 + j, exponent=math.log2(cxx) + 2 * j))
-    anc = n
-
-    def window(exponent: float, q1: int, q2: int) -> None:
-        nonlocal anc
-        elements.append(
-            Gate(GateKind.B, anc, exponent=exponent,
-                 controls=(Control(q1), Control(q2))))
-        elements.append(MeasureBarrier((anc,)))
-        anc += 1
-
-    for j in range(n_y):
-        for k in range(j + 1, n_y):
-            window(math.log2(cyy) + j + k + 1, j, k)
-    for j in range(n_x):
-        for k in range(j + 1, n_x):
-            window(math.log2(cxx) + j + k + 1, x0 + j, x0 + k)
-    if cxy > 0:
-        for j in range(n_x):
-            for k in range(n_y):
-                window(math.log2(cxy) + j + k, x0 + j, k)
-    return Circuit(data_qubits=n, ancilla_qubits=anc - n, alpha=alpha,
-                   elements=tuple(elements))
+    return _window_circuit(
+        n_x + n_y, alpha,
+        [Gate(GateKind.A, j, exponent=math.log2(cyy) + 2 * j)
+         for j in range(n_y)]
+        + [Gate(GateKind.A, x0 + j, exponent=math.log2(cxx) + 2 * j)
+           for j in range(n_x)],
+        [(math.log2(cyy) + j + k + 1, (j, k))
+         for j in range(n_y) for k in range(j + 1, n_y)]
+        + [(math.log2(cxx) + j + k + 1, (x0 + j, x0 + k))
+           for j in range(n_x) for k in range(j + 1, n_x)]
+        + [(math.log2(cxy) + j + k, (x0 + j, k))
+           for j in range(n_x) for k in range(n_y) if cxy > 0])

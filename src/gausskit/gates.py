@@ -166,7 +166,7 @@ class Gate:
         return (self.target,) + tuple(c.qubit for c in self.controls)
 
     def __str__(self) -> str:
-        parts = [self.kind.value if self.kind is not GateKind.CNOT else "CNOT"]
+        parts = [self.kind.value]
         if self.exponent is not None:
             parts.append(format_exponent(self.exponent))
         if self.kind is GateKind.CNOT:

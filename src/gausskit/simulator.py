@@ -249,46 +249,39 @@ def simulate_exact(circuit: Circuit,
     _check_capacity(n_data + _peak_live_ancilla(circuit))
     state = np.zeros(1 << n_data, dtype=complex)
     state[0] = 1.0
-    position: dict[int, int] = {}  # live ancilla -> bit position
-    total = n_data
+    live: list[int] = []  # live ancilla, the i-th on bit n_data + i
     probs: list[float] = []
 
     def pos_of(q: int) -> int:
-        nonlocal state, total
+        nonlocal state
         if q < n_data:
             return q
-        if q not in position:
+        if q not in live:
             state = np.concatenate([state, np.zeros_like(state)])
-            position[q] = total
-            total += 1
-        return position[q]
+            live.append(q)
+        return n_data + live.index(q)
 
     for elem in circuit.elements:
         if isinstance(elem, MeasureBarrier):
-            live = [a for a in elem.ancilla if a in position]
-            if not live:
+            measured = [a for a in elem.ancilla if a in live]
+            if not measured:
                 probs.append(1.0)
                 continue
-            state = _block(state, [(position[a], 0) for a in live]).reshape(-1)
+            state = _block(state, [(pos_of(a), 0) for a in measured]).reshape(-1)
             p = float(np.vdot(state, state).real)
             if p <= 0.0:
                 raise ParameterError("post-selection branch has zero amplitude")
             state = state / math.sqrt(p)
             probs.append(p)
-            dropped = sorted(position[a] for a in live)
-            for a in live:
-                del position[a]
-            for a, pp in list(position.items()):
-                position[a] = pp - sum(1 for d in dropped if d < pp)
-            total -= len(live)
+            live[:] = [a for a in live if a not in measured]
             continue
         for q in elem.qubits:
             pos_of(q)  # materialize before the gate takes its view
         _apply_gate(state, elem, circuit.alpha, noise, pos_of)
 
-    if position:
+    if live:
         raise ParameterError(
-            f"circuit ended with unmeasured live ancilla {sorted(position)}")
+            f"circuit ended with unmeasured live ancilla {sorted(live)}")
     return (StateVector(n_qubits=n_data, amplitudes=state),
             SimReport(layer_probs=tuple(probs)))
 
@@ -328,7 +321,8 @@ def simulate_postselected(circuit: Circuit,
     Ancilla-targeted B gates multiply the data state by <0|B|0> on their
     control subspace (the block-encoding identity); barriers record the
     accumulated norm loss as that round's success probability, so each
-    barrier must measure the ancilla of every window since the last one.
+    barrier must measure the ancilla of every window since the last one,
+    and a window after the last barrier raises ParameterError.
     """
     n = circuit.data_qubits
     _check_capacity(n)
@@ -360,8 +354,10 @@ def simulate_postselected(circuit: Circuit,
             windows.add(elem.target)
             continue
         _apply_gate(state, elem, circuit.alpha, noise)
-    if scale != 1.0:
-        state *= scale  # a window left without a barrier
+    if windows:
+        raise ParameterError(
+            "post-selected backend: circuit ends with window ancilla "
+            f"{sorted(windows)} unmeasured")
 
     return (StateVector(n_qubits=n, amplitudes=state),
             SimReport(layer_probs=tuple(probs)))

@@ -134,6 +134,20 @@ def test_postselected_refuses_a_barrier_that_leaves_a_window_unmeasured():
         simulate_postselected(circ)
 
 
+def test_postselected_refuses_a_window_after_the_last_barrier():
+    # no barrier ever measures ancilla 2, so no probability can be charged
+    # for its window; the exact engine refuses the same circuit
+    circ = Circuit(data_qubits=2, ancilla_qubits=1, alpha=0.8, elements=(
+        Gate(GateKind.H, 0), Gate(GateKind.H, 1),
+        Gate(GateKind.B, 2, exponent=1.0,
+             controls=(Control(0), Control(1)))))
+    with pytest.raises(ParameterError, match="unmeasured live ancilla"):
+        simulate_exact(circ)
+    with pytest.raises(ParameterError,
+                       match=r"ends with window ancilla \[2\] unmeasured"):
+        simulate_postselected(circ)
+
+
 def test_z_only_circuit_has_unit_probs():
     circ = build_poly_phase(4, 0.5, 2)
     _, rep = simulate_postselected(circ)
