@@ -10,6 +10,7 @@ All types are immutable after construction.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 from .gates import Gate, GateKind, ParameterError, _check_alpha
@@ -69,6 +70,39 @@ class Circuit:
         )
 
 
+class Liveness:
+    """The one walk of "fresh on use, measured before reuse", which
+    ``validate``, ``textio.load`` and both flat engines read.  Per element
+    it yields ``(elem, before, after, reused)``: the live ancilla (qubits
+    from ``data_qubits`` up, touched and not yet measured) before and after
+    it in first-touch order, ``simulate_exact``'s bit order, and whether it
+    is a B gate on a live ancilla.  ``open`` maps the ancilla live so far,
+    at the end those left live, to the last element touching each."""
+
+    def __init__(self, circuit: Circuit) -> None:
+        self.circuit = circuit
+
+    def __iter__(self) -> Iterator[tuple[Element, tuple, tuple, bool]]:
+        self.open: dict[int, int] = {}
+        n_data = self.circuit.data_qubits
+        before: tuple[int, ...] = ()
+        for idx, elem in enumerate(self.circuit.elements):
+            reused = False
+            if isinstance(elem, MeasureBarrier):
+                for a in elem.ancilla:
+                    self.open.pop(a, None)
+            else:
+                reused = elem.kind is GateKind.B and elem.target in self.open
+                if elem.target >= n_data:
+                    self.open[elem.target] = idx
+                for c in elem.controls:
+                    if c.qubit >= n_data:
+                        self.open[c.qubit] = idx
+            after = tuple(self.open)
+            yield elem, before, after, reused
+            before = after
+
+
 def validate(circuit: Circuit) -> list[str]:
     """Check circuit invariants; returns one message per violation.
 
@@ -81,35 +115,23 @@ def validate(circuit: Circuit) -> list[str]:
             for idx, message in _violations(circuit)]
 
 
-def _violations(circuit: Circuit) -> list[tuple[int, str]]:
+def _violations(circuit: Circuit) -> Iterator[tuple[int, str]]:
     """(element index, message) for each violation ``validate`` reports."""
-    violations: list[tuple[int, str]] = []
     total = circuit.total_qubits
-    dirty: dict[int, int] = {}  # touched ancilla -> last element touching it
-    for idx, elem in enumerate(circuit.elements):
+    walk = Liveness(circuit)
+    for idx, (elem, _, _, reused) in enumerate(walk):
         if isinstance(elem, MeasureBarrier):
             for a in elem.ancilla:
                 if not circuit.is_ancilla(a) or a >= total:
-                    violations.append(
-                        (idx, f"barrier measures non-ancilla qubit {a}"))
-                dirty.pop(a, None)
+                    yield idx, f"barrier measures non-ancilla qubit {a}"
             continue
         for q in elem.qubits:
             if q < 0 or q >= total:
-                violations.append(
-                    (idx, f"qubit {q} out of range (total {total})"))
-        if (elem.kind is GateKind.B and circuit.is_ancilla(elem.target)
-                and elem.target in dirty):
-            violations.append(
-                (idx, f"ancilla {elem.target} not reset before B gate"))
-        # any touch of an ancilla marks it dirty until measured
-        for q in elem.qubits:
-            if circuit.is_ancilla(q):
-                dirty[q] = idx
-    for a, idx in dirty.items():
-        violations.append(
-            (idx, f"ancilla {a} still unmeasured at the end of the circuit"))
-    return violations
+                yield idx, f"qubit {q} out of range (total {total})"
+        if reused:
+            yield idx, f"ancilla {elem.target} not reset before B gate"
+    for a, idx in walk.open.items():
+        yield idx, f"ancilla {a} still unmeasured at the end of the circuit"
 
 
 @dataclass(frozen=True)

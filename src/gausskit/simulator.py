@@ -33,8 +33,9 @@ The flat engines touch a state only through ``_block``, the strided view
 that fixes some bits and leaves the rest free: a gate applies its 2x2
 kernel to the target inside the control-satisfied block, a window
 multiplies that block, and a barrier keeps the block where its ancilla
-read 0.  Every engine records one success probability per barrier; their
-product is the squared subnormalization of the preparation.
+read 0.  Both take which ancilla are live from ``circuit.Liveness``, as
+``validate`` does.  Every engine records one success probability per
+barrier; their product is the squared subnormalization of the preparation.
 
 Noise is a ``NoiseRealization`` from ``realize_noise``: one random target
 perturbation per rotation gate, which every engine applies the same way.
@@ -56,7 +57,7 @@ import numpy as np
 
 from .builders import (_normalize_quadratic_form, layered_full_gaussian,
                        merged_a_exponent)
-from .circuit import Circuit, MeasureBarrier
+from .circuit import Circuit, Liveness, MeasureBarrier
 from .gates import (XH_MATRIX, Gate, GateKind, ParameterError, a_matrix,
                     a_xh_distance, alpha_power, rotation_kernel)
 from .optimizer import ErrorBudget, pack_layers, prunes
@@ -217,24 +218,6 @@ def _apply_gate(vec: np.ndarray, gate: Gate, alpha: float,
         _rotate(vec, p, target, [])
 
 
-def _peak_live_ancilla(circuit: Circuit) -> int:
-    """The most ancilla live at once: touched and not yet measured."""
-    n_data = circuit.data_qubits
-    live: set[int] = set()
-    peak = 0
-    for elem in circuit.elements:
-        if isinstance(elem, MeasureBarrier):
-            live.difference_update(elem.ancilla)
-            continue
-        if elem.target >= n_data:
-            live.add(elem.target)
-        for c in elem.controls:
-            if c.qubit >= n_data:
-                live.add(c.qubit)
-        peak = max(peak, len(live))
-    return peak
-
-
 def simulate_exact(circuit: Circuit,
                    noise: NoiseRealization | None = None
                    ) -> tuple[StateVector, SimReport]:
@@ -246,42 +229,35 @@ def simulate_exact(circuit: Circuit,
     would ever exceed the qubit or memory budget.
     """
     n_data = circuit.data_qubits
-    _check_capacity(n_data + _peak_live_ancilla(circuit))
+    walk = Liveness(circuit)
+    steps = list(walk)
+    peak = max((len(after) for _, _, after, _ in steps), default=0)
+    _check_capacity(n_data + peak)
     state = np.zeros(1 << n_data, dtype=complex)
     state[0] = 1.0
-    live: list[int] = []  # live ancilla, the i-th on bit n_data + i
     probs: list[float] = []
 
-    def pos_of(q: int) -> int:
-        nonlocal state
-        if q < n_data:
-            return q
-        if q not in live:
-            state = np.concatenate([state, np.zeros_like(state)])
-            live.append(q)
-        return n_data + live.index(q)
-
-    for elem in circuit.elements:
+    for elem, before, after, _ in steps:  # live ancilla i on bit n_data + i
         if isinstance(elem, MeasureBarrier):
-            measured = [a for a in elem.ancilla if a in live]
-            if not measured:
+            if before == after:  # it measures no live ancilla
                 probs.append(1.0)
                 continue
-            state = _block(state, [(pos_of(a), 0) for a in measured]).reshape(-1)
+            state = _block(state, [(n_data + i, 0) for i, a in enumerate(before)
+                                   if a not in after]).reshape(-1)
             p = float(np.vdot(state, state).real)
             if p <= 0.0:
                 raise ParameterError("post-selection branch has zero amplitude")
             state = state / math.sqrt(p)
             probs.append(p)
-            live[:] = [a for a in live if a not in measured]
             continue
-        for q in elem.qubits:
-            pos_of(q)  # materialize before the gate takes its view
-        _apply_gate(state, elem, circuit.alpha, noise, pos_of)
+        for _ in after[len(before):]:  # materialize before the gate's view
+            state = np.concatenate([state, np.zeros_like(state)])
+        _apply_gate(state, elem, circuit.alpha, noise,
+                    lambda q: q if q < n_data else n_data + after.index(q))
 
-    if live:
+    if walk.open:
         raise ParameterError(
-            f"circuit ended with unmeasured live ancilla {sorted(live)}")
+            f"circuit ended with unmeasured live ancilla {sorted(walk.open)}")
     return (StateVector(n_qubits=n_data, amplitudes=state),
             SimReport(layer_probs=tuple(probs)))
 
@@ -320,26 +296,27 @@ def simulate_postselected(circuit: Circuit,
 
     Ancilla-targeted B gates multiply the data state by <0|B|0> on their
     control subspace (the block-encoding identity); barriers record the
-    accumulated norm loss as that round's success probability, so each
-    barrier must measure the ancilla of every window since the last one,
-    and a window after the last barrier raises ParameterError.
+    accumulated norm loss as that round's success probability, so a window
+    on a live ancilla (``textio.load`` refuses it in a file first), a
+    barrier that leaves a window's ancilla live and a window after the
+    last barrier raise ParameterError.
     """
     n = circuit.data_qubits
     _check_capacity(n)
     state = np.zeros(1 << n, dtype=complex)
     state[0] = 1.0
     scale = 1.0  # <0|P|0> of the noisy windows since the last barrier
-    windows: set[int] = set()  # their ancilla
     probs: list[float] = []
 
-    for elem in circuit.elements:
+    # every live ancilla is a window's: other ancilla use is refused
+    walk = Liveness(circuit)
+    for elem, before, after, reused in walk:
         if isinstance(elem, MeasureBarrier):
-            windows.difference_update(elem.ancilla)
-            if windows:
+            if after:
                 raise ParameterError(
                     "post-selected backend: barrier leaves window ancilla "
-                    f"{sorted(windows)} unmeasured")
-            probs.append(_post_select(state, scale))
+                    f"{sorted(after)} unmeasured")
+            probs.append(_post_select(state, scale) if before else 1.0)
             scale = 1.0
             continue
         if any(circuit.is_ancilla(c.qubit) for c in elem.controls):
@@ -348,16 +325,18 @@ def simulate_postselected(circuit: Circuit,
             if elem.kind is not GateKind.B:
                 raise ParameterError(
                     "post-selected backend supports only B gates on ancilla")
+            if reused:
+                raise ParameterError("post-selected backend: ancilla "
+                                     f"{elem.target} not reset before window")
             f_sel, f_rest = _window_factors(elem, circuit.alpha, noise)
             _apply_window(state, elem.controls, f_sel / f_rest)
             scale *= f_rest
-            windows.add(elem.target)
             continue
         _apply_gate(state, elem, circuit.alpha, noise)
-    if windows:
+    if walk.open:
         raise ParameterError(
             "post-selected backend: circuit ends with window ancilla "
-            f"{sorted(windows)} unmeasured")
+            f"{sorted(walk.open)} unmeasured")
 
     return (StateVector(n_qubits=n, amplitudes=state),
             SimReport(layer_probs=tuple(probs)))

@@ -154,8 +154,6 @@ def load(path: str) -> Circuit:
     CircuitParseError at the line of its element."""
     with open(path, encoding="utf-8") as fh:
         circuit, line_nos = _parse(fh.read())
-    violations = _violations(circuit)
-    if violations:
-        idx, message = violations[0]
+    for idx, message in _violations(circuit):  # the first one raises
         raise CircuitParseError(line_nos[idx], message)
     return circuit

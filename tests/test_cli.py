@@ -90,6 +90,9 @@ def test_simulate_parse_error_exit_3(runner, tmp_path):
 @pytest.mark.parametrize("text, line", [
     # a window whose ancilla is never measured
     ("QUBITS data=2 ancilla=1 alpha=0.5\n# window\n\nH q0\nB 1 q2 c0 c1\n", 5),
+    # a second window on an ancilla not measured since the first
+    ("QUBITS data=2 ancilla=1 alpha=0.5\nH q0\nB 1 q2 c0\nB 2 q2 c0\n"
+     "MEASURE a0\n", 4),
     # alpha outside (0, 1) in a Clifford-only file
     ("QUBITS data=2 ancilla=0 alpha=1.5\nH q0\n", 1),
     # a gate beyond the register
@@ -111,8 +114,8 @@ def test_simulate_parse_error_exit_3(runner, tmp_path):
     ("QUBITS data=\u0662 ancilla=0 alpha=0.5\nH q0\n", 1),
     ("QUBITS data=2 ancilla=+0 alpha=0.5\nH q0\n", 1),
     ("QUBITS data=1_0 ancilla=0 alpha=0.5\nH q0\n", 1),
-], ids=["unmeasured-ancilla", "alpha-range", "qubit-range", "negative-data",
-        "negative-ancilla", "empty-data", "exponent-separator",
+], ids=["unmeasured-ancilla", "reused-ancilla", "alpha-range", "qubit-range",
+        "negative-data", "negative-ancilla", "empty-data", "exponent-separator",
         "exponent-plus", "measure-plus", "target-arabic-digit",
         "exponent-arabic-digit", "data-arabic-digit", "ancilla-plus",
         "data-separator"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from gausskit.builders import (
     build_poly_phase,
     layered_full_gaussian,
 )
-from gausskit.circuit import Circuit, MeasureBarrier
+from gausskit.circuit import Circuit, MeasureBarrier, validate
 from gausskit.gates import (ROTATION_KINDS, Control, Gate, GateKind,
                             GaussianSpec, ParameterError, rotation_kernel)
 from gausskit.optimizer import (ErrorBudget, pack_layers, prune_distance,
@@ -146,6 +147,61 @@ def test_postselected_refuses_a_window_after_the_last_barrier():
     with pytest.raises(ParameterError,
                        match=r"ends with window ancilla \[2\] unmeasured"):
         simulate_postselected(circ)
+
+
+def _window(target, m=1.0):
+    return Gate(GateKind.B, target, exponent=m,
+                controls=(Control(0), Control(1)))
+
+
+H01 = (Gate(GateKind.H, 0), Gate(GateKind.H, 1))
+
+
+@pytest.mark.parametrize("elements, ancilla, accepted_by", [
+    # ancilla 2 is never measured: the barrier on 3 skips it
+    ((*H01, _window(2), _window(3), MeasureBarrier((3,))), 2, ()),
+    # the second window finds ancilla 2 live; the exact engine runs the
+    # circuit as written
+    ((*H01, _window(2), _window(2, 2.0), MeasureBarrier((2,))), 2,
+     ("simulate_exact",)),
+    # the first barrier skips ancilla 3, which a later barrier measures
+    ((*H01, _window(2), _window(3), MeasureBarrier((2,)), _window(2, 1.5),
+      MeasureBarrier((3,)), MeasureBarrier((2,))), 3,
+     ("validate", "simulate_exact")),
+    ((*H01, _window(2), MeasureBarrier((2,)), _window(3)), 3, ()),
+], ids=["unmeasured-at-end", "reused-window", "barrier-skips-window",
+        "window-after-last-barrier"])
+def test_refusals_name_the_same_ancilla(elements, ancilla, accepted_by):
+    # validate and both flat engines read one liveness walk, so each that
+    # refuses a circuit names the same ancilla
+    circ = Circuit(data_qubits=2, ancilla_qubits=3, alpha=0.8,
+                   elements=elements)
+    refusals = {"validate": validate(circ)}
+    for run in (simulate_exact, simulate_postselected):
+        try:
+            run(circ)
+            refusals[run.__name__] = []
+        except ParameterError as exc:
+            refusals[run.__name__] = [str(exc)]
+    for name, messages in refusals.items():
+        named = {int(re.search(r"ancilla \[?(\d+)", m).group(1))
+                 for m in messages}
+        assert named == (set() if name in accepted_by else {ancilla}), (
+            name, messages)
+
+
+@pytest.mark.parametrize("barrier", [(), (0,), (2,)],
+                         ids=["empty", "data-qubit", "idle-ancilla"])
+def test_a_barrier_that_measures_no_live_ancilla_records_one(barrier):
+    # the data state's norm rounds to 0.9999999999999998 here; a barrier
+    # with nothing live to measure post-selects nothing
+    circ = Circuit(data_qubits=2, ancilla_qubits=1, alpha=0.5, elements=(
+        Gate(GateKind.H, 0), Gate(GateKind.A, 1, exponent=1.5),
+        Gate(GateKind.Z, 0, exponent=1.5, controls=(Control(1),)),
+        MeasureBarrier(barrier)))
+    _, rep_e = simulate_exact(circ)
+    _, rep_p = simulate_postselected(circ)
+    assert rep_e.layer_probs == rep_p.layer_probs == (1.0,)
 
 
 def test_z_only_circuit_has_unit_probs():
