@@ -11,7 +11,6 @@ plotting is left to external tools.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import math
@@ -288,7 +287,8 @@ def _file_registers(circuit, n_spec, family, alpha, beta) -> tuple[int, ...]:
 @click.option("--order", type=click.Choice(resources.ORDERS), default="optimal")
 @click.option("--trials", type=click.IntRange(min=1), default=1)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("--threads", type=click.IntRange(min=1), default=1)
+@click.option("--threads", type=click.IntRange(min=1), default=1,
+              help="accepted for compatibility and unread")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
           trials, seed, threads, out) -> None:
@@ -319,23 +319,16 @@ def sweep(axes, n_spec, alpha, beta, delta, couple_alpha, alloc, order,
     # 0 keeps seed ^ i
     stride = 1 << (len(points) - 1).bit_length()
 
-    def run_point(item):
-        flat, params = item
-        return [_sweep_row(params, couple_alpha, alloc, order,
-                           (seed ^ flat) + trial * stride)
-                for trial in range(trials)]
-
+    # points run in order on this thread: at sweep sizes an estimate is
+    # Python and small numpy calls, which worker threads only slow down
     try:
-        if threads > 1:
-            with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-                results = list(pool.map(run_point, points))
-        else:
-            results = [run_point(p) for p in points]
+        all_rows = [_sweep_row(params, couple_alpha, alloc, order,
+                               (seed ^ flat) + trial * stride)
+                    for flat, params in points for trial in range(trials)]
     except simulator.CapacityError as exc:
         _fail(EXIT_CAPACITY, str(exc))
     except ParameterError as exc:
         raise click.UsageError(str(exc))
-    all_rows = [row for rows in results for row in rows]
     if out:
         _append_csv(out, all_rows)
     else:

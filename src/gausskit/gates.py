@@ -15,6 +15,7 @@ such as ``log2(2**k + 4**k)``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -160,9 +161,9 @@ class Gate:
                     f"target/control indices must be disjoint: {self}")
             seen.add(ctl.qubit)
 
-    @property
+    @functools.cached_property
     def qubits(self) -> tuple[int, ...]:
-        """Target first, then controls in declaration order."""
+        """Target first, then controls in declaration order; built on first read."""
         return (self.target,) + tuple(c.qubit for c in self.controls)
 
     def __str__(self) -> str:

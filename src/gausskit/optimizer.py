@@ -108,7 +108,8 @@ def prunes(distance, delta):
 def _prune_elements(elements, alpha, budget):
     """Shared gate-level pruning: drop controlled windows within their
     budget of the identity, swap A rotations within their budget of XH for
-    exact XH (H then X)."""
+    exact XH (H then X).  A barrier drops each ancilla whose window was
+    dropped since that ancilla was last measured."""
     out = []
     removed: set[int] = set()
     n_removed = n_replaced = 0
@@ -117,6 +118,7 @@ def _prune_elements(elements, alpha, budget):
             keep = tuple(a for a in elem.ancilla if a not in removed)
             if keep:
                 out.append(MeasureBarrier(keep))
+            removed.difference_update(elem.ancilla)
             continue
         gate = elem
         if not prunes(prune_distance(gate, alpha), budget.delta_for(gate)):

@@ -76,14 +76,14 @@ def circuit_t_depth(circuit: Circuit, budget: ErrorBudget) -> float:
     total = stage_cost = 0.0
     stage_qubits: set[int] = set()
     for elem in circuit.elements:
-        barrier = isinstance(elem, MeasureBarrier)
-        if not barrier and elem.kind in CLIFFORD_KINDS:
-            continue
-        if barrier or stage_qubits & set(elem.qubits):
+        if isinstance(elem, MeasureBarrier):
             total, stage_cost, stage_qubits = total + stage_cost, 0.0, set()
-        if not barrier:
+        elif elem.kind not in CLIFFORD_KINDS:
+            qubits = elem.qubits
+            if not stage_qubits.isdisjoint(qubits):
+                total, stage_cost, stage_qubits = total + stage_cost, 0.0, set()
             stage_cost = max(stage_cost, _gate_t_depth(elem, budget))
-            stage_qubits |= set(elem.qubits)
+            stage_qubits.update(qubits)
     return total + stage_cost
 
 

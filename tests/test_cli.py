@@ -1,6 +1,7 @@
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gausskit import simulator, textio
+from gausskit import resources, simulator, textio
 from gausskit.builders import layered_full_gaussian
 from gausskit.circuit import validate
 from gausskit.cli import FAMILIES, main
@@ -480,6 +481,24 @@ def test_sweep_threads_do_not_change_results(runner):
     r1 = runner.invoke(main, base + ["--threads", "1"])
     r4 = runner.invoke(main, base + ["--threads", "4"])
     assert r1.output == r4.output
+
+
+@pytest.mark.parametrize("threads", ["2", "4"])
+def test_sweep_runs_every_point_on_the_calling_thread(runner, monkeypatch,
+                                                      threads):
+    seen = []
+    estimate = resources.estimate
+
+    def recording(*args, **kwargs):
+        seen.append(threading.get_ident())
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(resources, "estimate", recording)
+    result = runner.invoke(main, ["sweep", "--axis", "delta=1e-5:1e-4:4:log",
+                                  "--alpha", "0.99", "--trials", "2",
+                                  "--threads", threads])
+    assert result.exit_code == 0
+    assert seen == [threading.get_ident()] * 8
 
 
 def test_degenerate_sweep_matches_simulate(runner):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gausskit.builders import (build_full_gaussian, layered_full_gaussian,
                                merged_a_exponent)
+from gausskit.circuit import validate
 from gausskit.gates import (ROTATION_KINDS, Control, Gate, GateKind,
                             GaussianSpec, ParameterError, a_xh_distance)
 from gausskit.optimizer import (
@@ -248,6 +249,23 @@ def test_prune_layered_drops_empty_layers():
     sv_p, _ = simulate_postselected(pruned.to_circuit())
     sv_f, _ = simulate_postselected(lay.to_circuit())
     assert l2_error(sv_p.amplitudes, sv_f.amplitudes) <= info.total * 1e-2
+
+
+@pytest.mark.parametrize("delta", [1e-2, 5e-3])
+@pytest.mark.parametrize("n", range(7, 12))
+def test_prune_flat_reused_ancilla_matches_prune_layered(n, delta):
+    # the flattened layered circuit reuses each ancilla once per layer: a
+    # window pruned in one layer must not drop a kept window's ancilla from
+    # a later layer's barrier
+    lay = layered_full_gaussian(n, 0.999)
+    budget = ErrorBudget.two_to_one(delta)
+    flat, info = prune_circuit(lay.to_circuit(), budget)
+    layered, layered_info = prune_layered(lay, budget)
+    assert info.removed_b_gates > 0
+    assert validate(flat) == []
+    assert flat.elements == layered.to_circuit().elements
+    assert info == layered_info
+    simulate_postselected(flat)
 
 
 def test_alpha_matching_gate_error_coupling():
